@@ -118,9 +118,8 @@ struct BenchOptions {
   int jobs = 1;
   std::string json_path;
   std::string backend = net::kDefaultNetworkBackend;
-  /// True when --backend was passed on the command line. Benches whose
-  /// jobs carry a frozen per-tier backend (bench_perf_sweep) only
-  /// override it on an explicit flag.
+  /// True when --backend was passed on the command line. bench_ext_scale
+  /// runs each tier on both backends unless this flag narrows it to one.
   bool backend_explicit = false;
   double timeout = 0.0;      ///< per-job wall budget (0 disables)
   int retries = 0;           ///< extra attempts for failed jobs

@@ -8,10 +8,10 @@ namespace swarmlab::swarm {
 
 namespace {
 
-/// Fluid perf-ladder tier (bench_perf_sweep): flash-crowd swarms of
-/// increasing population and content size. Parameters are frozen —
-/// BENCH_perf.json numbers are only comparable across commits if the
-/// workload never moves.
+/// Fluid perf-ladder tier: flash-crowd swarms of increasing population
+/// and content size. Parameters are frozen — benchmark/pins.json
+/// fingerprints these configs, so benchmark numbers are only comparable
+/// across commits if the workload never moves.
 ScenarioConfig perf_tier(const char* name, std::uint32_t leechers,
                          std::uint32_t seeds, std::uint32_t pieces,
                          double arrival, std::uint32_t max_pop) {
@@ -183,7 +183,7 @@ std::vector<CatalogEntry> build_catalog() {
   add(mega_flash(),
       "mega-swarm flash crowd + arrival storm; scale() to 4k/10k");
   add(perf_tier("perf_small", 48, 1, 128, 0.02, 96),
-      "fluid perf ladder: small (CI perf gate)");
+      "fluid perf ladder: small (benchmark selftest)");
   add(perf_tier("perf_medium", 150, 1, 384, 0.05, 220),
       "fluid perf ladder: medium");
   add(perf_tier("perf_large", 320, 2, 1024, 0.08, 420),
@@ -191,7 +191,7 @@ std::vector<CatalogEntry> build_catalog() {
   add(perf_tier("perf_huge", 2000, 4, 256, 0.3, 2400),
       "fluid perf ladder: huge (mega-swarm population)");
   add(pkt_tier("pkt_small", 16, 1, 256, 0.005, 32),
-      "packet perf ladder: small (CI perf gate)");
+      "packet perf ladder: small (benchmark selftest)");
   add(pkt_tier("pkt_medium", 32, 1, 512, 0.01, 64),
       "packet perf ladder: medium");
   add(pkt_tier("pkt_large", 256, 2, 512, 0.05, 320),

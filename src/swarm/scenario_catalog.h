@@ -24,10 +24,11 @@ struct CatalogEntry {
 };
 
 /// The full catalog, in stable order. Entries are frozen: benches and
-/// the perf baseline depend on these exact parameters, so changing one
-/// is a breaking change to every report derived from it. Includes the
-/// 26 Table-I rows at sweep scale plus the named non-Table workloads
-/// (flash crowds, ablations, perf tiers, mega-swarm scale tiers).
+/// the benchmark's pinned fingerprints depend on these exact parameters,
+/// so changing one is a breaking change to every report derived from
+/// it. Includes the 26 Table-I rows at sweep scale plus the named
+/// non-Table workloads (flash crowds, ablations, perf tiers, mega-swarm
+/// scale tiers).
 const std::vector<CatalogEntry>& scenario_catalog();
 
 /// Looks up one catalog entry by name; nullptr when absent.

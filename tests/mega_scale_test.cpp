@@ -241,19 +241,39 @@ TEST(ScenarioCatalog, Table1EntriesMatchHistoricalConstruction) {
 }
 
 TEST(ScenarioCatalog, PerfTiersAreFrozen) {
-  // The perf gate compares BENCH_perf.json numbers across commits; these
-  // parameters moving would silently invalidate the baseline.
-  const auto small = swarm::catalog_scenario("perf_small");
-  EXPECT_EQ(small.initial_leechers, 48u);
-  EXPECT_EQ(small.num_pieces, 128u);
-  EXPECT_EQ(small.piece_size, 64u * 1024);
-  const auto huge = swarm::catalog_scenario("perf_huge");
-  EXPECT_EQ(huge.initial_leechers, 2000u);
-  EXPECT_EQ(huge.max_population, 2400u);
-  const auto pkt = swarm::catalog_scenario("pkt_huge");
-  EXPECT_EQ(pkt.initial_leechers, 2048u);
-  EXPECT_EQ(pkt.network_backend, "packet");
-  EXPECT_EQ(pkt.block_size, 256u * 1024);
+  // benchmark/pins.json fingerprints every tier the benchmark runs:
+  // perf_medium, pkt_large and pkt_huge as workloads, perf_small and
+  // pkt_small as selftest stand-ins. A drifted tier fails here, not only
+  // on the next benchmark run. perf_huge is the fluid twin of pkt_huge.
+  struct Tier {
+    const char* name;
+    std::uint32_t seeds, leechers, pieces, piece_size, block_size;
+    double arrival_rate;
+    std::uint32_t max_population;
+    const char* backend;
+  };
+  constexpr std::uint32_t kKiB = 1024;
+  const Tier tiers[] = {
+      {"perf_small", 1, 48, 128, 64 * kKiB, 16 * kKiB, 0.02, 96, "fluid"},
+      {"perf_medium", 1, 150, 384, 64 * kKiB, 16 * kKiB, 0.05, 220, "fluid"},
+      {"perf_huge", 4, 2000, 256, 64 * kKiB, 16 * kKiB, 0.3, 2400, "fluid"},
+      {"pkt_small", 1, 16, 256, 256 * kKiB, 256 * kKiB, 0.005, 32, "packet"},
+      {"pkt_large", 2, 256, 512, 256 * kKiB, 256 * kKiB, 0.05, 320, "packet"},
+      {"pkt_huge", 4, 2048, 128, 256 * kKiB, 256 * kKiB, 0.2, 2560,
+       "packet"},
+  };
+  for (const Tier& want : tiers) {
+    const auto got = swarm::catalog_scenario(want.name);
+    EXPECT_EQ(got.initial_seeds, want.seeds) << want.name;
+    EXPECT_EQ(got.initial_leechers, want.leechers) << want.name;
+    EXPECT_EQ(got.num_pieces, want.pieces) << want.name;
+    EXPECT_EQ(got.piece_size, want.piece_size) << want.name;
+    EXPECT_EQ(got.block_size, want.block_size) << want.name;
+    EXPECT_DOUBLE_EQ(got.arrival_rate, want.arrival_rate) << want.name;
+    EXPECT_EQ(got.max_population, want.max_population) << want.name;
+    EXPECT_DOUBLE_EQ(got.duration, 20000.0) << want.name;
+    EXPECT_EQ(got.network_backend, want.backend) << want.name;
+  }
   // Every entry must be runnable as-is.
   for (const auto& entry : swarm::scenario_catalog()) {
     EXPECT_EQ(swarm::validate_scenario(entry.config), "") << entry.name;
