@@ -3,6 +3,8 @@
 // bookkeeping, the wire codec, bencode, and SHA-1 throughput. These back
 // the paper's simplicity argument (§IV-A.4): rarest first is cheap —
 // microseconds per decision — where network coding is CPU intensive.
+// The event-queue and fluid-reallocation kernels time the simulator's
+// own hot path (docs/performance.md).
 #include <benchmark/benchmark.h>
 
 #include <functional>
@@ -12,7 +14,10 @@
 #include "core/bitfield.h"
 #include "core/choker.h"
 #include "core/piece_picker.h"
+#include "net/fluid_network.h"
+#include "sim/event_queue.h"
 #include "sim/rng.h"
+#include "sim/simulation.h"
 #include "wire/bencode.h"
 #include "wire/messages.h"
 #include "wire/sha1.h"
@@ -157,6 +162,79 @@ void BM_Sha1Piece(benchmark::State& state) {
                           static_cast<std::int64_t>(piece.size()));
 }
 BENCHMARK(BM_Sha1Piece);
+
+/// Precomputed (victim index, new time) draws, so the RNG stays out of
+/// the timed loop. Times are now + U(0, 8 s): half inside the 4 s wheel
+/// window, half in the heap band.
+struct QueueMoves {
+  QueueMoves(std::size_t pending, std::size_t count) {
+    sim::Rng rng(1);
+    for (std::size_t i = 0; i < count; ++i) {
+      victim.push_back(rng.index(pending));
+      at.push_back(rng.uniform(0.0, 8.0));
+    }
+  }
+  std::vector<std::size_t> victim;
+  std::vector<double> at;
+};
+
+/// A queue holding `pending` events spread over [0, 8 s), plus their ids.
+std::vector<sim::EventId> fill_queue(sim::EventQueue& q, std::size_t pending) {
+  sim::Rng rng(2);
+  std::vector<sim::EventId> ids;
+  for (std::size_t i = 0; i < pending; ++i) {
+    ids.push_back(q.schedule_fast(rng.uniform(0.0, 8.0), 1, {i, 0}));
+  }
+  return ids;
+}
+
+// Moves a random pending event in place, as fluid re-rating does.
+void BM_EventQueueReschedule(benchmark::State& state) {
+  const auto pending = static_cast<std::size_t>(state.range(0));
+  sim::EventQueue q;
+  const std::vector<sim::EventId> ids = fill_queue(q, pending);
+  const QueueMoves moves(pending, 1 << 16);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(q.reschedule(ids[moves.victim[i]], moves.at[i]));
+    i = (i + 1) & 0xffff;
+  }
+}
+BENCHMARK(BM_EventQueueReschedule)->Arg(1000)->Arg(10000)->Arg(100000);
+
+// The same move spelled as cancel + schedule, which mints a new id.
+void BM_EventQueueCancelSchedule(benchmark::State& state) {
+  const auto pending = static_cast<std::size_t>(state.range(0));
+  sim::EventQueue q;
+  std::vector<sim::EventId> ids = fill_queue(q, pending);
+  const QueueMoves moves(pending, 1 << 16);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    sim::EventId& id = ids[moves.victim[i]];
+    q.cancel(id);
+    id = q.schedule_fast(moves.at[i], 1, {i, 0});
+    i = (i + 1) & 0xffff;
+  }
+}
+BENCHMARK(BM_EventQueueCancelSchedule)->Arg(1000)->Arg(10000)->Arg(100000);
+
+// One sender uploading to k receivers; each iteration starts and cancels
+// a (k+1)-th upload, so two reallocations re-rate and move k+1 flows.
+void BM_FluidReallocate(benchmark::State& state) {
+  const auto fan_out = static_cast<int>(state.range(0));
+  sim::Simulation sim(1);
+  net::FluidNetwork net(sim);
+  const net::NodeId sender = net.add_node(20e3, net::kUnlimited);
+  for (int i = 0; i < fan_out; ++i) {
+    net.start_flow(sender, net.add_node(net::kUnlimited, net::kUnlimited),
+                   1ull << 40, [] {});
+  }
+  const net::NodeId extra = net.add_node(net::kUnlimited, net::kUnlimited);
+  for (auto _ : state) {
+    net.cancel_flow(net.start_flow(sender, extra, 1ull << 40, [] {}));
+  }
+}
+BENCHMARK(BM_FluidReallocate)->Arg(4)->Arg(16)->Arg(64);
 
 }  // namespace
 

@@ -13,6 +13,15 @@ namespace {
 constexpr double kByteEpsilon = 1e-6;
 }  // namespace
 
+FluidNetwork::FluidNetwork(sim::Simulation& sim, double control_latency)
+    : sim_(sim),
+      control_latency_(control_latency),
+      ch_complete_(sim.add_fast_channel(&complete_trampoline, this)) {}
+
+void FluidNetwork::complete_trampoline(void* ctx, const sim::FastPayload& p) {
+  static_cast<FluidNetwork*>(ctx)->complete_flow(static_cast<FlowId>(p.a));
+}
+
 NodeId FluidNetwork::add_node(double up_bytes_per_sec,
                               double down_bytes_per_sec) {
   assert(up_bytes_per_sec > 0.0 && down_bytes_per_sec > 0.0);
@@ -220,19 +229,22 @@ double FluidNetwork::compute_rate(const FlowSlot& flow) const {
 }
 
 void FluidNetwork::reschedule(FlowId id, FlowSlot& flow) {
-  if (flow.completion_event != 0) {
-    sim_.cancel(flow.completion_event);
-    flow.completion_event = 0;
-  }
   // A flow at rate <= 0 is parked with no completion event. Every path
   // that changes its share — start_flow/cancel_flow/complete_flow at
   // either endpoint and set_node_capacity — goes through reallocate(),
   // which re-rates and reschedules it, so a parked flow is guaranteed to
   // resume when capacity returns (tests: FluidNetwork.StalledFlow*).
-  if (flow.rate <= 0.0) return;
+  if (flow.rate <= 0.0) {
+    if (flow.completion_event != 0) sim_.cancel(flow.completion_event);
+    flow.completion_event = 0;
+    return;
+  }
   const double secs = std::max(0.0, flow.remaining - kByteEpsilon) / flow.rate;
-  flow.completion_event =
-      sim_.schedule_in(secs, [this, id] { complete_flow(id); });
+  if (flow.completion_event != 0 &&
+      sim_.reschedule_in(flow.completion_event, secs)) {
+    return;
+  }
+  flow.completion_event = sim_.schedule_fast_in(secs, ch_complete_, {id, 0});
 }
 
 void FluidNetwork::reallocate(NodeId from, NodeId to) {
@@ -268,12 +280,11 @@ void FluidNetwork::reallocate(NodeId from, NodeId to) {
     FlowSlot& flow = flows_[cur];
     settle(flow);
     flow.rate = compute_rate(flow);
-    // Always cancel + reschedule, even when the rate is unchanged: a
-    // fresh event takes a fresh tie-break sequence, and same-fire-time
-    // ties are common among sender-bound flows (identical remaining and
-    // rate), so skipping the churn here reorders tied completions and
-    // breaks replay identity. Cancellation is O(1)-lazy, so the cost is
-    // one heap push.
+    // Always reschedule, even when the rate is unchanged: the event takes
+    // a fresh tie-break sequence, and same-fire-time ties are common
+    // among sender-bound flows (identical remaining and rate), so
+    // skipping the churn here reorders tied completions and breaks replay
+    // identity. The event moves in place, at O(log n).
     reschedule(pack(flow.gen, cur), flow);
   }
 }

@@ -46,8 +46,7 @@ class FluidNetwork final : public Network {
  public:
   /// `control_latency` is the one-way delay applied to control messages
   /// and to the first byte of each flow, in seconds.
-  explicit FluidNetwork(sim::Simulation& sim, double control_latency = 0.05)
-      : sim_(sim), control_latency_(control_latency) {}
+  explicit FluidNetwork(sim::Simulation& sim, double control_latency = 0.05);
 
   FluidNetwork(const FluidNetwork&) = delete;
   FluidNetwork& operator=(const FluidNetwork&) = delete;
@@ -193,13 +192,17 @@ class FluidNetwork final : public Network {
   /// Recomputes one flow's rate from the current share counts.
   [[nodiscard]] double compute_rate(const FlowSlot& flow) const;
 
-  /// Reschedules the completion event for a settled flow.
+  /// Moves (or schedules, or cancels at rate 0) the completion event of
+  /// a settled flow.
   void reschedule(FlowId id, FlowSlot& flow);
 
+  /// Fast-channel handler for completion events; payload {FlowId, 0}.
+  static void complete_trampoline(void* ctx, const sim::FastPayload& p);
   void complete_flow(FlowId id);
 
   sim::Simulation& sim_;
   double control_latency_;
+  std::uint16_t ch_complete_ = 0;  // fast channel: flow completions
   std::vector<NodeSlot> nodes_;  // index = NodeId - 1; ids never reused
   std::vector<FlowSlot> flows_;  // slab; index = low id half - 1
   std::vector<std::uint32_t> free_flows_;  // retired slots awaiting reuse

@@ -117,7 +117,7 @@ struct RunResult {
   std::uint64_t events_cancelled = 0;  ///< cancelled before firing
   std::uint64_t peak_pending = 0;      ///< high-water mark of live events
   std::uint64_t events_fastpath = 0;   ///< fired via the POD fast channel
-  std::uint64_t queue_compactions = 0; ///< event-queue dead-entry sweeps
+  std::uint64_t queue_compactions = 0; ///< always 0 (eager cancellation)
   std::uint64_t train_segments = 0;    ///< segments served in coalesced trains
   json::Value metrics;             ///< bench-specific summary (object)
   /// Observability snapshot (object, schema v7): always carries "scope";
@@ -251,7 +251,8 @@ std::vector<BatchJob> table1_jobs(std::uint64_t master,
 /// `attempts`, optional `error` detail, and a report-level `failed`
 /// count — the failure-containment fields (see docs/batch_runner.md).
 /// v6: `perf` gains `fastpath` (events dispatched via the allocation-free
-/// fast channel), `compactions` (event-queue dead-entry sweeps) and
+/// fast channel), `compactions` (event-queue dead-entry sweeps; always 0
+/// since cancellation became eager, kept for schema stability) and
 /// `train_segments` (packet segments served in coalesced trains; 0 on
 /// the fluid backend). All three are deterministic.
 /// v7: per-result `telemetry` object — observation scope, MetricsRegistry

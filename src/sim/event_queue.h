@@ -14,11 +14,11 @@
 //
 // Storage is two-tiered: a calendar wheel of fixed-width time buckets
 // absorbs the dense near-future band (where discrete-event simulations
-// concentrate their churn), and a binary min-heap holds everything
+// concentrate their churn), and a 4-ary min-heap holds everything
 // beyond the wheel's horizon, behind its cursor, or scheduled while the
 // wheel window was exhausted. Both tiers order by the same (time, seq)
 // key and pop() always takes the global minimum across them, so the
-// fire order is identical to a single binary heap — see the proof
+// fire order is identical to a single heap — see the proof
 // sketch at wheel_peek(). See docs/performance.md.
 #pragma once
 
@@ -42,17 +42,17 @@ struct FastPayload {
   std::uint64_t b = 0;
 };
 
-/// Two-tier priority queue of timed events with O(1) cancellation and
-/// slot reuse.
+/// Two-tier priority queue of timed events with eager O(log n)
+/// cancellation, in-place rescheduling and slot reuse.
 ///
-/// Cancellation is lazy: a cancelled event's entry stays in its tier
-/// until it surfaces, where its stale generation identifies it for
-/// discard. The slot itself is reusable immediately.
+/// Every slot records where its entry sits (a heap index, or a wheel
+/// bucket plus index), so cancel() and reschedule() unlink or move the
+/// entry at once: the tiers hold live entries only.
 ///
 /// Events come in two flavours sharing one id space and one fire order:
 /// closure events carry an EventFn, fast-path events carry a channel tag
 /// plus a 16-byte POD payload and never touch std::function — hot
-/// callers (the packet backend) schedule and fire without allocating.
+/// callers (the network backends) schedule and fire without allocating.
 class EventQueue {
  public:
   /// Schedules `fn` to fire at absolute time `at`. Returns an id usable
@@ -69,14 +69,23 @@ class EventQueue {
   /// (not yet fired and not already cancelled).
   bool cancel(EventId id);
 
-  /// True when no live (non-cancelled) event remains.
-  [[nodiscard]] bool empty() const { return live_ == 0; }
+  /// Moves a pending event to absolute time `at`, keeping its id and
+  /// callback. The event takes a fresh tie-break seq, so it fires exactly
+  /// where cancel() plus a new schedule() would have put it, and the
+  /// counters record it as one cancel plus one schedule. Returns false
+  /// (and changes nothing) when `id` is no longer pending.
+  bool reschedule(EventId id, SimTime at);
 
-  /// Number of live events.
-  [[nodiscard]] std::size_t size() const { return live_; }
+  /// True when no event is pending.
+  [[nodiscard]] bool empty() const { return size() == 0; }
 
-  /// Time of the earliest live event. Precondition: !empty().
-  /// Non-const: compacts cancelled entries off the tier tops.
+  /// Number of pending events.
+  [[nodiscard]] std::size_t size() const {
+    return heap_.size() + wheel_entries_;
+  }
+
+  /// Time of the earliest pending event. Precondition: !empty().
+  /// Non-const: advances the wheel cursor to the first non-empty bucket.
   [[nodiscard]] SimTime next_time();
 
   /// What pop() returns: the fired event's time, id and callback.
@@ -91,29 +100,23 @@ class EventQueue {
     EventFn fn;
   };
 
-  /// Pops and returns the earliest live event, advancing past any
-  /// cancelled entries. Precondition: !empty().
+  /// Pops and returns the earliest pending event. Precondition: !empty().
   Fired pop();
 
-  /// Fused peek-and-pop for the run loop: pops the earliest live event
+  /// Fused peek-and-pop for the run loop: pops the earliest pending event
   /// into `*out` iff the queue is non-empty and that event's time is
   /// <= `deadline`. One tier scan instead of the two a next_time()/pop()
   /// pair costs. Returns false (leaving `*out` untouched) otherwise.
   bool pop_until(SimTime deadline, Fired* out);
 
-  /// Events ever scheduled.
+  /// Events ever scheduled (a reschedule counts as one).
   [[nodiscard]] std::uint64_t scheduled_count() const { return scheduled_; }
 
-  /// Events cancelled before firing.
+  /// Events cancelled before firing (a reschedule counts as one).
   [[nodiscard]] std::uint64_t cancelled_count() const { return cancelled_; }
 
-  /// High-water mark of live events.
+  /// High-water mark of pending events.
   [[nodiscard]] std::size_t peak_pending() const { return peak_; }
-
-  /// Bulk compactions performed (dead entries swept from both tiers).
-  [[nodiscard]] std::uint64_t compactions_count() const {
-    return compactions_;
-  }
 
  private:
   /// Tier entries are 24-byte PODs: sift/sort moves are plain copies
@@ -130,11 +133,19 @@ class EventQueue {
     }
   };
 
+  /// `bucket` value of a slot whose entry sits in the heap.
+  static constexpr std::uint32_t kInHeap = 0xffffffffu;
+
   struct Slot {
     std::uint32_t gen = 0;
     std::uint16_t channel = 0;  // 0 = closure event, else fast-path tag
     FastPayload payload;
     EventFn fn;
+    // Where the pending entry sits: heap_[pos] when bucket == kInHeap,
+    // else buckets_[bucket].v[pos]. `pos` is not maintained inside a
+    // sorted bucket, whose entries shift on insert; removal scans there.
+    std::uint32_t bucket = kInHeap;
+    std::uint32_t pos = 0;
   };
 
   /// One wheel bucket: entries with times in [base + i*w, base + (i+1)*w).
@@ -160,6 +171,10 @@ class EventQueue {
            (static_cast<EventId>(slot) + 1);
   }
 
+  static constexpr std::uint32_t slot_of(EventId id) {
+    return static_cast<std::uint32_t>((id & 0xffffffffu) - 1);
+  }
+
   /// True if `id` names the current, still-pending tenant of its slot.
   [[nodiscard]] bool is_pending(EventId id) const {
     const std::uint64_t biased = id & 0xffffffffu;
@@ -173,15 +188,42 @@ class EventQueue {
     ++slots_[slot].gen;
     slots_[slot].fn = nullptr;
     free_.push_back(slot);
-    --live_;
   }
 
-  /// Allocates a slot and pushes an entry for it into the right tier.
+  /// Allocates a slot, inserts its entry and returns its id.
   EventId place(SimTime at);
 
-  /// Earliest live wheel entry (nullptr when the wheel holds none),
-  /// purging stale entries and advancing the cursor past drained
-  /// buckets.
+  /// Wheel bucket for time `at`, or kInHeap when `at` lies before the
+  /// window, past its horizon or behind the cursor. A drained wheel
+  /// re-anchors at the first finite time it sees, so the wheel never has
+  /// to look behind its cursor.
+  std::uint32_t route(SimTime at);
+
+  /// Puts `e` into the tier route() picks and records its position.
+  void insert(const Entry& e);
+
+  /// Takes the entry of pending slot `slot` out of its tier.
+  void unlink(std::uint32_t slot);
+
+  /// The heap is 4-ary: half the depth of a binary heap, and the four
+  /// children of a node share a cache line or two, so the sifts a
+  /// reschedule costs touch fewer lines.
+  static constexpr std::size_t kHeapArity = 4;
+
+  /// Heap maintenance that keeps each moved entry's slot position
+  /// current. sift_up returns the entry's final index; min_child needs
+  /// node `i` to have a child.
+  void heap_set(std::size_t i, const Entry& e) {
+    heap_[i] = e;
+    slots_[slot_of(e.id)].pos = static_cast<std::uint32_t>(i);
+  }
+  [[nodiscard]] std::size_t min_child(std::size_t i) const;
+  std::size_t sift_up(std::size_t i);
+  void sift_down(std::size_t i);
+  void heap_erase(std::size_t i);
+
+  /// Earliest wheel entry (nullptr when the wheel holds none), advancing
+  /// the cursor past drained buckets and sorting the bucket it stops at.
   ///
   /// Why this is the wheel's minimum: buckets partition disjoint,
   /// ascending time ranges, so the first non-empty bucket at or after
@@ -190,40 +232,31 @@ class EventQueue {
   /// is the exact minimum. Entries that would land in a range the
   /// cursor already passed are routed to the heap at schedule time, so
   /// no entry is ever skipped.
-  Entry* wheel_peek();
+  const Entry* wheel_peek();
 
-  /// Discards cancelled entries sitting at the top of the heap.
-  void drop_cancelled();
+  /// Locates the global minimum: true when it is the back of the wheel's
+  /// cursor bucket, false when it is the heap root. Precondition:
+  /// !empty().
+  bool min_in_wheel();
 
-  /// Moves the popped entry's slot contents into a Fired and retires the
-  /// slot.
-  Fired take(const Entry& top);
-
-  /// Rebuilds both tiers without their dead entries. Triggered when dead
-  /// entries outnumber live ones, so the amortized cost per cancel is
-  /// O(1) — far cheaper than sifting each dead entry through the root.
-  /// Pop order is unaffected: (time, seq) is a total order (seq is
-  /// unique), so any valid layout pops identically; in-bucket erasure
-  /// preserves relative order, so sorted buckets stay sorted.
-  void compact();
-
-  /// Entries across both tiers, dead ones included.
-  [[nodiscard]] std::size_t total_entries() const {
-    return heap_.size() + wheel_entries_;
+  [[nodiscard]] const Entry& min_entry(bool in_wheel) const {
+    return in_wheel ? buckets_[wheel_cursor_].v.back() : heap_.front();
   }
 
-  std::vector<Entry> heap_;  // min-heap via std::*_heap with greater<>
+  /// Removes the minimum min_in_wheel() located, moves the slot contents
+  /// into a Fired and retires the slot.
+  Fired take(bool in_wheel);
+
+  std::vector<Entry> heap_;  // 4-ary min-heap on (time, seq)
   std::vector<Bucket> buckets_{kWheelBuckets};
   double wheel_base_ = 0.0;       // time of bucket 0's left edge
   std::size_t wheel_cursor_ = 0;  // first bucket not yet drained
-  std::size_t wheel_entries_ = 0; // entries in buckets, dead included
+  std::size_t wheel_entries_ = 0; // entries in buckets
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;  // retired slots awaiting reuse
   std::uint64_t next_seq_ = 1;
-  std::size_t live_ = 0;
   std::uint64_t scheduled_ = 0;
   std::uint64_t cancelled_ = 0;
-  std::uint64_t compactions_ = 0;
   std::size_t peak_ = 0;
 };
 

@@ -67,6 +67,15 @@ class Simulation {
   /// Cancels a pending event; returns true if it had not yet fired.
   bool cancel(EventId id) { return queue_.cancel(id); }
 
+  /// Moves a pending event to `delay` seconds from now (delay >= 0),
+  /// keeping its id and callback. It fires exactly where cancel() plus a
+  /// fresh schedule would have put it; returns false if it already fired
+  /// or was cancelled.
+  bool reschedule_in(EventId id, SimTime delay) {
+    assert(delay >= 0.0);
+    return queue_.reschedule(id, now_ + delay);
+  }
+
   /// Runs events until the queue is empty, `deadline` is reached, or
   /// stop() is called. Events scheduled exactly at the deadline still run.
   /// Returns the final simulated time.
@@ -117,10 +126,10 @@ class Simulation {
   /// events_executed()).
   [[nodiscard]] std::uint64_t events_fastpath() const { return fastpath_; }
 
-  /// Bulk dead-entry sweeps the event queue has performed.
-  [[nodiscard]] std::uint64_t queue_compactions() const {
-    return queue_.compactions_count();
-  }
+  /// Always 0: the event queue removes cancelled entries eagerly and
+  /// has no bulk sweep left to count. Kept because the schema-v6 batch
+  /// report still carries `perf.compactions`.
+  [[nodiscard]] std::uint64_t queue_compactions() const { return 0; }
 
  private:
   struct FastChannel {

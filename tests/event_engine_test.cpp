@@ -1,10 +1,11 @@
 // Event-engine equivalence: the two-tier EventQueue (calendar wheel +
-// binary heap, PR 8) must pop in byte-identical (time, seq) order to a
+// binary heap) must pop in byte-identical (time, seq) order to a
 // reference single-tier model under tie-heavy randomized workloads, and
 // the fast-path channel must share that order with closure events.
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -63,42 +64,65 @@ class ReferenceQueue {
 };
 
 /// Drives EventQueue and ReferenceQueue through one interleaved
-/// schedule/cancel/pop script and asserts identical pop order. Times are
-/// drawn from a tiny set of quantized values so equal-time ties are the
-/// norm, and span both the wheel window (< 4 s ahead) and the heap band.
+/// schedule/cancel/reschedule/pop script and asserts identical pop order.
+/// Times are drawn from a tiny set of quantized values so equal-time ties
+/// are the norm, and span both the wheel window (< 4 s ahead) and the
+/// heap band, so reschedules move entries heap->wheel, wheel->heap,
+/// within the sorted cursor bucket and within one unsorted bucket.
 void run_equivalence_script(std::uint64_t seed, int ops) {
   Rng rng(seed);
   EventQueue queue;
   ReferenceQueue ref;
-  // token (reference) <-> id (queue) for the same logical event; the
-  // fired closure records which token ran.
+  // Each queue event's closure records the token it was scheduled with.
+  // The reference models a reschedule as cancel + add, which mints a new
+  // token, so ref_token maps a closure token to its current reference
+  // token.
   std::vector<std::uint64_t> popped_tokens;
+  std::map<std::uint64_t, std::uint64_t> ref_token;
   std::vector<std::pair<std::uint64_t, EventId>> live;  // token -> id
+  std::vector<EventId> dead;  // ids already fired or cancelled
 
   double now = 0.0;
+  const auto draw_time = [&] {
+    // ~16 distinct offsets, some beyond the 4 s wheel horizon, so
+    // collisions are constant and both tiers participate.
+    return now + std::floor(rng.uniform(0.0, 1.0) * 16.0) * 0.75;
+  };
+  const auto pick_live = [&] {
+    return static_cast<std::size_t>(rng.uniform(0.0, 1.0) * live.size()) %
+           live.size();
+  };
   for (int op = 0; op < ops; ++op) {
     const double dice = rng.uniform(0.0, 1.0);
-    if (dice < 0.55 || queue.empty()) {
-      // Schedule at a coarsely quantized future time: ~16 distinct
-      // offsets, some beyond the 4 s wheel horizon, so collisions are
-      // constant and both tiers participate.
-      const double offset =
-          std::floor(rng.uniform(0.0, 1.0) * 16.0) * 0.75;  // 0 .. 11.25 s
-      const double at = now + offset;
+    if (dice < 0.45 || queue.empty()) {
+      const double at = draw_time();
       const std::uint64_t token = ref.add(at);
       const EventId id = queue.schedule(at, [token, &popped_tokens] {
         popped_tokens.push_back(token);
       });
+      ref_token[token] = token;
       live.emplace_back(token, id);
-    } else if (dice < 0.70 && !live.empty()) {
+    } else if (dice < 0.57 && !live.empty()) {
       // Cancel a random live event in both models.
-      const std::size_t pick =
-          static_cast<std::size_t>(rng.uniform(0.0, 1.0) * live.size()) %
-          live.size();
+      const std::size_t pick = pick_live();
       const auto [token, id] = live[pick];
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
       EXPECT_TRUE(queue.cancel(id));
-      EXPECT_TRUE(ref.cancel(token));
+      EXPECT_TRUE(ref.cancel(ref_token[token]));
+      dead.push_back(id);
+    } else if (dice < 0.72 && !live.empty()) {
+      // Reschedule a random live event: cancel + add in the reference.
+      const auto [token, id] = live[pick_live()];
+      const double at = draw_time();
+      EXPECT_TRUE(queue.reschedule(id, at));
+      EXPECT_TRUE(ref.cancel(ref_token[token]));
+      ref_token[token] = ref.add(at);
+    } else if (dice < 0.75 && !dead.empty()) {
+      // A stale id moves nothing.
+      const EventId id = dead[static_cast<std::size_t>(
+                                  rng.uniform(0.0, 1.0) * dead.size()) %
+                              dead.size()];
+      EXPECT_FALSE(queue.reschedule(id, draw_time()));
     } else {
       // Pop one event from both; order must agree exactly.
       ASSERT_FALSE(queue.empty());
@@ -111,20 +135,22 @@ void run_equivalence_script(std::uint64_t seed, int ops) {
       fired.fn();
       ASSERT_FALSE(popped_tokens.empty());
       const std::uint64_t expect = ref.pop();
-      EXPECT_EQ(popped_tokens.back(), expect)
+      EXPECT_EQ(ref_token[popped_tokens.back()], expect)
           << "divergence at op " << op << " seed " << seed;
       live.erase(std::remove_if(live.begin(), live.end(),
                                 [&](const auto& p) {
                                   return p.first == popped_tokens.back();
                                 }),
                  live.end());
+      dead.push_back(fired.id);
     }
+    EXPECT_EQ(queue.size(), live.size());
   }
   // Drain: the full remaining order must match too.
   while (!queue.empty()) {
     auto fired = queue.pop();
     fired.fn();
-    EXPECT_EQ(popped_tokens.back(), ref.pop());
+    EXPECT_EQ(ref_token[popped_tokens.back()], ref.pop());
   }
   EXPECT_TRUE(ref.empty());
 }
@@ -135,21 +161,25 @@ TEST(EventEngineEquivalence, TieHeavyRandomizedPopOrderMatchesReference) {
   }
 }
 
-TEST(EventEngineEquivalence, MassCancelCompactsAndPreservesOrder) {
+TEST(EventEngineEquivalence, MassCancelRemovesEagerlyAndPreservesOrder) {
   EventQueue queue;
   std::vector<int> order;
-  std::vector<EventId> cancel_me;
-  // 3000 events in the wheel band; cancel 2/3 so the dead:live ratio
-  // crosses the compaction trigger.
+  // 3000 events in the wheel band; cancel 2/3. Each cancel takes its
+  // entry out at once, so the pending count is exact throughout.
   std::vector<EventId> ids;
   for (int i = 0; i < 3000; ++i) {
     const double at = (i % 37) * 0.1;
     ids.push_back(queue.schedule(at, [i, &order] { order.push_back(i); }));
   }
   for (int i = 0; i < 3000; ++i) {
-    if (i % 3 != 0) EXPECT_TRUE(queue.cancel(ids[static_cast<std::size_t>(i)]));
+    if (i % 3 == 0) continue;
+    const EventId id = ids[static_cast<std::size_t>(i)];
+    EXPECT_TRUE(queue.cancel(id));
+    EXPECT_FALSE(queue.cancel(id));
+    EXPECT_FALSE(queue.reschedule(id, 1.0));
   }
-  EXPECT_GE(queue.compactions_count(), 1u);
+  EXPECT_EQ(queue.size(), 1000u);
+  EXPECT_EQ(queue.cancelled_count(), 2000u);
   double last = -1.0;
   int popped = 0;
   while (!queue.empty()) {
@@ -159,8 +189,10 @@ TEST(EventEngineEquivalence, MassCancelCompactsAndPreservesOrder) {
     auto fired = queue.pop();
     fired.fn();
     ++popped;
+    EXPECT_EQ(queue.size(), static_cast<std::size_t>(1000 - popped));
   }
   EXPECT_EQ(popped, 1000);
+  for (const int i : order) EXPECT_EQ(i % 3, 0);
   // Survivors fire in (time, seq) order: within one time bucket value,
   // ascending schedule order (i % 37 equal => ascending i).
   for (std::size_t i = 1; i < order.size(); ++i) {

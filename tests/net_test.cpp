@@ -281,6 +281,51 @@ TEST(FluidNetwork, StaleFlowIdSurvivesCompletionReuse) {
   EXPECT_EQ(h.net.active_flows(), 0u);
 }
 
+// Re-rating a flow always reschedules its completion with a fresh
+// tie-break seq, even when the rate ends where it started or never
+// changes. Sender-bound flows with equal size and capacity complete at
+// the same double time, so their fire order is the order of their last
+// touch — a rule the golden digests depend on (docs/performance.md).
+TEST(FluidNetwork, TiedCompletionsFireInLastTouchOrder) {
+  enum class Touch { kNone, kAtSender, kAtReceiver };
+  for (const Touch touch :
+       {Touch::kNone, Touch::kAtSender, Touch::kAtReceiver}) {
+    Harness h;
+    const NodeId a = h.net.add_node(100.0, kUnlimited);
+    const NodeId b = h.net.add_node(100.0, kUnlimited);
+    const NodeId c = h.net.add_node(100.0, kUnlimited);
+    std::vector<NodeId> sinks;
+    for (int i = 0; i < 3; ++i) {
+      sinks.push_back(h.net.add_node(kUnlimited, kUnlimited));
+    }
+    std::vector<int> order;
+    std::vector<double> times;
+    h.net.start_flow(a, sinks[0], 1000, [&] {
+      order.push_back(1);
+      times.push_back(h.sim.now());
+    });
+    h.net.start_flow(b, sinks[1], 1000, [&] {
+      order.push_back(2);
+      times.push_back(h.sim.now());
+    });
+    // Touch only the first flow; the second shares no endpoint with the
+    // touching flow. At the sender the first flow's rate halves and comes
+    // back; at the (unlimited) receiver it never moves off 100 B/s.
+    if (touch == Touch::kAtSender) {
+      ASSERT_TRUE(
+          h.net.cancel_flow(h.net.start_flow(a, sinks[2], 1000, [] {})));
+    } else if (touch == Touch::kAtReceiver) {
+      ASSERT_TRUE(
+          h.net.cancel_flow(h.net.start_flow(c, sinks[0], 1000, [] {})));
+    }
+    h.sim.run();
+    ASSERT_EQ(times.size(), 2u);
+    EXPECT_EQ(times[0], times[1]);  // an exact tie
+    EXPECT_EQ(order, touch == Touch::kNone ? (std::vector<int>{1, 2})
+                                           : (std::vector<int>{2, 1}));
+  }
+}
+
 TEST(FluidNetwork, ZeroLatencyDeliversImmediatelyNextEvent) {
   sim::Simulation sim(1);
   FluidNetwork net(sim, 0.0);

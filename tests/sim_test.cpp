@@ -103,8 +103,9 @@ TEST(EventQueue, CountersTrackScheduledCancelledAndPeak) {
   EXPECT_EQ(q.peak_pending(), 3u);  // high-water mark survives drain
 }
 
-// Heavy churn exercises the heap-compaction path (dead entries
-// outnumbering live ones) without disturbing fire order.
+// Heavy churn: every doomed event sits in the heap (before the wheel
+// window, which anchors at t=10), so each cancel is a position-tracked
+// heap erase. Fire order of the wheel survivors must not move.
 TEST(EventQueue, FireOrderSurvivesMassCancellation) {
   EventQueue q;
   std::vector<int> order;
@@ -140,6 +141,102 @@ TEST(EventQueue, NextTimeSkipsCancelled) {
   q.schedule(2.0, [] {});
   q.cancel(a);
   EXPECT_DOUBLE_EQ(q.next_time(), 2.0);
+}
+
+// Reschedule: the moved event takes a fresh tie-break seq, so it fires
+// exactly where cancel + schedule would have put it. The wheel anchors
+// at the first scheduled time and spans 4 s; later times go to the heap.
+void drain(EventQueue& q) {
+  while (!q.empty()) q.pop().fn();
+}
+
+TEST(EventQueue, RescheduleHeapToWheelTakesFreshSeq) {
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule(0.5, [&] { order.push_back(1); });                   // wheel
+  const EventId a = q.schedule(100.0, [&] { order.push_back(2); });  // heap
+  q.schedule(0.5, [&] { order.push_back(3); });
+  EXPECT_TRUE(q.reschedule(a, 0.5));  // newest of the 0.5 tie
+  drain(q);
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 2}));
+}
+
+TEST(EventQueue, RescheduleWheelToHeap) {
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule(0.5, [&] { order.push_back(1); });
+  const EventId a = q.schedule(1.0, [&] { order.push_back(2); });
+  q.schedule(50.0, [&] { order.push_back(3); });
+  EXPECT_TRUE(q.reschedule(a, 50.0));
+  drain(q);
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 2}));
+}
+
+TEST(EventQueue, RescheduleWithinSortedCursorBucket) {
+  EventQueue q;
+  std::vector<int> order;
+  // All three share the ~1 ms cursor bucket.
+  const EventId a = q.schedule(1.0, [&] { order.push_back(1); });
+  q.schedule(1.0 + 2e-4, [&] { order.push_back(2); });
+  const EventId c = q.schedule(1.0 + 4e-4, [&] { order.push_back(3); });
+  EXPECT_DOUBLE_EQ(q.next_time(), 1.0);  // sorts the cursor bucket
+  EXPECT_TRUE(q.reschedule(c, 1.0 + 1e-4));  // earlier: now first
+  EXPECT_TRUE(q.reschedule(a, 1.0 + 2e-4));  // ties with 2, fires after it
+  drain(q);
+  EXPECT_EQ(order, (std::vector<int>{3, 2, 1}));
+}
+
+TEST(EventQueue, RescheduleWithinUnsortedBucketOverwrites) {
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule(0.0, [&] { order.push_back(0); });  // anchors the wheel
+  const EventId a = q.schedule(2.0, [&] { order.push_back(1); });
+  q.schedule(2.0, [&] { order.push_back(2); });
+  const EventId c = q.schedule(2.0 + 1e-4, [&] { order.push_back(3); });
+  EXPECT_TRUE(q.reschedule(a, 2.0));  // same time: now after 2
+  EXPECT_TRUE(q.reschedule(c, 2.0));  // same bucket, joins the tie last
+  drain(q);
+  EXPECT_EQ(order, (std::vector<int>{0, 2, 1, 3}));
+}
+
+TEST(EventQueue, RescheduleCountsAsScheduleAndCancel) {
+  EventQueue q;
+  const EventId a = q.schedule(1.0, [] {});
+  q.schedule(2.0, [] {});
+  EXPECT_TRUE(q.reschedule(a, 3.0));
+  EXPECT_EQ(q.scheduled_count(), 3u);
+  EXPECT_EQ(q.cancelled_count(), 1u);
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.peak_pending(), 2u);
+  EXPECT_DOUBLE_EQ(q.next_time(), 2.0);
+  EXPECT_NE(q.pop().id, a);
+  EXPECT_EQ(q.pop().id, a);  // same id after the move
+}
+
+TEST(EventQueue, RescheduleOfStaleOrFiredIdReturnsFalse) {
+  EventQueue q;
+  const EventId fired = q.schedule(1.0, [] {});
+  const EventId cancelled = q.schedule(2.0, [] {});
+  ASSERT_TRUE(q.cancel(cancelled));
+  q.pop();
+  const std::uint64_t scheduled = q.scheduled_count();
+  EXPECT_FALSE(q.reschedule(fired, 5.0));
+  EXPECT_FALSE(q.reschedule(cancelled, 5.0));
+  EXPECT_FALSE(q.reschedule(0, 5.0));
+  EXPECT_FALSE(q.reschedule(12345, 5.0));
+  EXPECT_EQ(q.scheduled_count(), scheduled);
+  EXPECT_EQ(q.cancelled_count(), 1u);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(Simulation, RescheduleInMovesRelativeToNow) {
+  Simulation sim(1);
+  double seen = -1.0;
+  const EventId id = sim.schedule_in(5.0, [&] { seen = sim.now(); });
+  sim.schedule_in(1.0, [&] { EXPECT_TRUE(sim.reschedule_in(id, 2.0)); });
+  sim.run();
+  EXPECT_DOUBLE_EQ(seen, 3.0);
+  EXPECT_FALSE(sim.reschedule_in(id, 1.0));
 }
 
 TEST(Simulation, ClockAdvancesWithEvents) {
