@@ -7,6 +7,9 @@
 // own hot path (docs/performance.md).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <array>
+#include <deque>
 #include <functional>
 #include <vector>
 
@@ -14,6 +17,8 @@
 #include "core/bitfield.h"
 #include "core/choker.h"
 #include "core/piece_picker.h"
+#include "instrument/metrics.h"
+#include "instrument/swarm_probe.h"
 #include "net/fluid_network.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
@@ -235,6 +240,173 @@ void BM_FluidReallocate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FluidReallocate)->Arg(4)->Arg(16)->Arg(64);
+
+/// One observer callback of a replayed SwarmProbe mix.
+struct ProbeOp {
+  enum Kind : std::uint8_t {
+    kReceived, kSent, kBlockIn, kBlockOut, kJoin, kLeave, kRound,
+    kInterest, kRemoteInterest, kLocalChoke, kRemoteChoke,
+  };
+  Kind kind;
+  bool flag;
+  peer::PeerId self;
+  peer::PeerId remote;
+  std::uint32_t arg;  // message index, or choke-round selection index
+};
+
+/// A looping callback script for `tracked` observed peers with 40 remotes
+/// each, in the proportions a traced table1_observed run shows per 100
+/// callbacks: 45 messages received, 21 sent, 7 blocks each way, 4 joins,
+/// 4 leaves, 3 choke rounds and 9 interest or choke changes. Every leave
+/// is undone by a later join of the same pair, so one pass ends with the
+/// peer sets it started from and the script can replay.
+struct ProbeScript {
+  static constexpr std::size_t kRemotes = 40;
+
+  ProbeScript(peer::PeerId tracked, std::size_t blocks) {
+    sim::Rng rng(3);
+    const peer::PeerId universe = tracked + kRemotes + 8;
+    for (peer::PeerId self = 1; self <= tracked; ++self) {
+      std::vector<peer::PeerId> set;
+      while (set.size() < kRemotes) {
+        const auto r = static_cast<peer::PeerId>(1 + rng.index(universe));
+        if (r != self && std::find(set.begin(), set.end(), r) == set.end()) {
+          set.push_back(r);
+        }
+      }
+      initial.push_back(set);
+    }
+    std::vector<std::vector<peer::PeerId>> sets = initial;
+    std::deque<std::pair<peer::PeerId, peer::PeerId>> away;
+    std::vector<ProbeOp::Kind> deck;
+    const auto deal = [&deck](ProbeOp::Kind k, int n) {
+      deck.insert(deck.end(), static_cast<std::size_t>(n), k);
+    };
+    deal(ProbeOp::kReceived, 45);
+    deal(ProbeOp::kSent, 21);
+    deal(ProbeOp::kBlockIn, 7);
+    deal(ProbeOp::kBlockOut, 7);
+    deal(ProbeOp::kJoin, 4);
+    deal(ProbeOp::kLeave, 4);
+    deal(ProbeOp::kRound, 3);
+    deal(ProbeOp::kInterest, 2);
+    deal(ProbeOp::kRemoteInterest, 2);
+    deal(ProbeOp::kLocalChoke, 3);
+    deal(ProbeOp::kRemoteChoke, 2);
+    const auto rejoin = [&] {
+      const auto [self, remote] = away.front();
+      away.pop_front();
+      sets[self - 1].push_back(remote);
+      ops.push_back({ProbeOp::kJoin, false, self, remote, 0});
+    };
+    for (std::size_t b = 0; b < blocks; ++b) {
+      rng.shuffle(deck);
+      for (ProbeOp::Kind kind : deck) {
+        const auto self = static_cast<peer::PeerId>(1 + rng.index(tracked));
+        std::vector<peer::PeerId>& set = sets[self - 1];
+        if (kind == ProbeOp::kJoin) {
+          if (!away.empty()) {
+            rejoin();
+            continue;
+          }
+          kind = ProbeOp::kLeave;  // nothing to rejoin yet
+        }
+        const std::size_t pick = rng.index(set.size());
+        const peer::PeerId remote = set[pick];
+        if (kind == ProbeOp::kLeave) {
+          set[pick] = set.back();
+          set.pop_back();
+          away.emplace_back(self, remote);
+        } else if (kind == ProbeOp::kRound) {
+          std::vector<peer::PeerId> chosen = set;
+          rng.shuffle(chosen);
+          chosen.resize(std::min<std::size_t>(4, chosen.size()));
+          rounds.push_back(std::move(chosen));
+        }
+        const auto arg = kind == ProbeOp::kRound
+                             ? static_cast<std::uint32_t>(rounds.size() - 1)
+                             : static_cast<std::uint32_t>(rng.index(10));
+        ops.push_back({kind, rng.chance(0.5), self, remote, arg});
+      }
+    }
+    while (!away.empty()) rejoin();
+  }
+
+  std::vector<std::vector<peer::PeerId>> initial;  // by self - 1
+  std::vector<ProbeOp> ops;
+  std::vector<std::vector<peer::PeerId>> rounds;
+};
+
+// The instrument layer's kernel: a SwarmProbe with per-peer detail for
+// every tracked peer (table1_observed's setup) replaying the callback mix
+// above. One iteration is one callback.
+void BM_SwarmProbeCallbacks(benchmark::State& state) {
+  const auto tracked = static_cast<peer::PeerId>(state.range(0));
+  const ProbeScript script(tracked, 1000);
+  const std::array<wire::Message, 10> received = {
+      wire::HaveMsg{1}, wire::HaveMsg{2}, wire::HaveMsg{3},
+      wire::HaveMsg{4}, wire::RequestMsg{0, 0, 16384},
+      wire::RequestMsg{1, 0, 16384}, wire::RequestMsg{2, 0, 16384},
+      wire::InterestedMsg{}, wire::UnchokeMsg{}, wire::ChokeMsg{}};
+  const std::array<wire::Message, 10> sent = {
+      wire::HaveMsg{5}, wire::HaveMsg{6}, wire::HaveMsg{7},
+      wire::RequestMsg{3, 0, 16384}, wire::RequestMsg{4, 0, 16384},
+      wire::RequestMsg{5, 0, 16384}, wire::RequestMsg{6, 0, 16384},
+      wire::InterestedMsg{}, wire::NotInterestedMsg{}, wire::UnchokeMsg{}};
+  instrument::MetricsRegistry registry;
+  instrument::SwarmProbe probe(registry, 1024);
+  double t = 0.0;
+  for (peer::PeerId self = 1; self <= tracked; ++self) {
+    probe.on_start(self, t);
+    for (const peer::PeerId remote : script.initial[self - 1]) {
+      probe.on_peer_joined(self, t, remote);
+    }
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const ProbeOp& op = script.ops[i];
+    t += 1e-3;
+    switch (op.kind) {
+      case ProbeOp::kReceived:
+        probe.on_message_received(op.self, t, op.remote, received[op.arg]);
+        break;
+      case ProbeOp::kSent:
+        probe.on_message_sent(op.self, t, op.remote, sent[op.arg]);
+        break;
+      case ProbeOp::kBlockIn:
+        probe.on_block_received(op.self, t, op.remote, {op.arg, 0}, 16384);
+        break;
+      case ProbeOp::kBlockOut:
+        probe.on_block_uploaded(op.self, t, op.remote, {op.arg, 0}, 16384);
+        break;
+      case ProbeOp::kJoin:
+        probe.on_peer_joined(op.self, t, op.remote);
+        break;
+      case ProbeOp::kLeave:
+        probe.on_peer_left(op.self, t, op.remote);
+        break;
+      case ProbeOp::kRound:
+        probe.on_choke_round(op.self, t, false, script.rounds[op.arg]);
+        break;
+      case ProbeOp::kInterest:
+        probe.on_interest_change(op.self, t, op.remote, op.flag);
+        break;
+      case ProbeOp::kRemoteInterest:
+        probe.on_remote_interest_change(op.self, t, op.remote, op.flag);
+        break;
+      case ProbeOp::kLocalChoke:
+        probe.on_local_choke_change(op.self, t, op.remote, op.flag);
+        break;
+      case ProbeOp::kRemoteChoke:
+        probe.on_remote_choke_change(op.self, t, op.remote, op.flag);
+        break;
+    }
+    benchmark::ClobberMemory();
+    if (++i == script.ops.size()) i = 0;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SwarmProbeCallbacks)->Arg(16)->Arg(64)->Arg(256);
 
 }  // namespace
 

@@ -85,8 +85,7 @@ namespace {
 /// Orders remote peers by `up` descending, then fills per-set upload and
 /// download fractions for the first `num_sets` sets of `set_size`.
 ContributionSets contribution_sets(
-    const std::map<peer::PeerId, RemotePeerRecord>& records,
-    std::size_t set_size, std::size_t num_sets,
+    const RemoteRecords& records, std::size_t set_size, std::size_t num_sets,
     std::uint64_t (*up)(const RemotePeerRecord&),
     std::uint64_t (*down)(const RemotePeerRecord&)) {
   struct Pair {
@@ -151,8 +150,8 @@ ContributionSets analyze_seed_fairness(const LocalPeerLog& log,
 
 namespace {
 
-UnchokeCorrelation unchoke_correlation(
-    const std::map<peer::PeerId, RemotePeerRecord>& records, bool seed) {
+UnchokeCorrelation unchoke_correlation(const RemoteRecords& records,
+                                       bool seed) {
   UnchokeCorrelation result;
   for (const auto& [id, r] : records) {
     const double interested =

@@ -13,11 +13,21 @@ void ChokeMarketLog::flush(RemoteState& state, double t) {
   if (state.unchokes_us) state.unchokes_us_time += dt;
 }
 
+void ChokeMarketLog::close_tenure(RemoteState& state) {
+  if (state.tenure == 0) return;
+  stats_.tenures.push_back(static_cast<double>(state.tenure));
+  state.tenure = 0;
+}
+
 void ChokeMarketLog::on_start(sim::SimTime /*t*/) {}
 
 void ChokeMarketLog::on_peer_joined(sim::SimTime t, peer::PeerId remote) {
   RemoteState& s = remotes_[remote];
   flush(s, t);
+  if (!s.in_set) {
+    in_set_.insert(std::lower_bound(in_set_.begin(), in_set_.end(), remote),
+                   remote);
+  }
   s.in_set = true;
   s.unchokes_us = false;
   s.last_flush = t;
@@ -26,12 +36,12 @@ void ChokeMarketLog::on_peer_joined(sim::SimTime t, peer::PeerId remote) {
 void ChokeMarketLog::on_peer_left(sim::SimTime t, peer::PeerId remote) {
   RemoteState& s = remotes_[remote];
   flush(s, t);
+  if (s.in_set) {
+    in_set_.erase(std::lower_bound(in_set_.begin(), in_set_.end(), remote));
+  }
   s.in_set = false;
   s.unchokes_us = false;
-  if (s.tenure > 0) {
-    stats_.tenures.push_back(static_cast<double>(s.tenure));
-    s.tenure = 0;
-  }
+  close_tenure(s);
 }
 
 void ChokeMarketLog::on_remote_choke_change(sim::SimTime t,
@@ -47,28 +57,25 @@ void ChokeMarketLog::on_choke_round(
     const std::vector<peer::PeerId>& unchoked) {
   if (seed_state) return;  // the market analysis targets leecher state
   ++stats_.rounds;
-  const std::set<peer::PeerId> selected(unchoked.begin(), unchoked.end());
-  for (auto& [remote, s] : remotes_) {
+  for (const peer::PeerId remote : in_set_) {
+    RemoteState& s = *remotes_.find(remote);
     flush(s, t);
-    const bool held = s.in_set && selected.contains(remote);
-    if (held) {
+    if (std::find(unchoked.begin(), unchoked.end(), remote) !=
+        unchoked.end()) {
       ++s.tenure;
       ++stats_.slot_rounds;
       if (s.unchokes_us) ++mutual_slot_rounds_;
-    } else if (s.tenure > 0) {
-      stats_.tenures.push_back(static_cast<double>(s.tenure));
-      s.tenure = 0;
+    } else {
+      close_tenure(s);
     }
   }
 }
 
 void ChokeMarketLog::on_became_seed(sim::SimTime t) {
-  for (auto& [remote, s] : remotes_) {
+  for (const peer::PeerId remote : in_set_) {
+    RemoteState& s = *remotes_.find(remote);
     flush(s, t);
-    if (s.tenure > 0) {
-      stats_.tenures.push_back(static_cast<double>(s.tenure));
-      s.tenure = 0;
-    }
+    close_tenure(s);
   }
   local_seed_ = true;
 }
@@ -76,12 +83,9 @@ void ChokeMarketLog::on_became_seed(sim::SimTime t) {
 MarketStats ChokeMarketLog::finalize(double t) {
   double in_set_total = 0.0;
   double unchoked_us_total = 0.0;
-  for (auto& [remote, s] : remotes_) {
+  for (auto [remote, s] : remotes_) {
     flush(s, t);
-    if (s.tenure > 0) {
-      stats_.tenures.push_back(static_cast<double>(s.tenure));
-      s.tenure = 0;
-    }
+    close_tenure(s);
     in_set_total += s.in_set_time;
     unchoked_us_total += s.unchokes_us_time;
   }

@@ -11,10 +11,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <set>
 #include <vector>
 
+#include "instrument/peer_table.h"
 #include "peer/observer.h"
 
 namespace swarmlab::instrument {
@@ -69,8 +68,13 @@ class ChokeMarketLog final : public peer::PeerObserver {
   };
 
   void flush(RemoteState& state, double t);
+  /// Ends `state`'s unchoke spell, if one is open.
+  void close_tenure(RemoteState& state);
 
-  std::map<peer::PeerId, RemoteState> remotes_;
+  PeerTable<RemoteState> remotes_;
+  /// Ids of the remotes with in_set, ascending: a round touches only
+  /// these, since a departed remote's tenure closed when it left.
+  std::vector<peer::PeerId> in_set_;
   MarketStats stats_;
   std::uint64_t mutual_slot_rounds_ = 0;
   bool local_seed_ = false;

@@ -1,21 +1,30 @@
 #include "instrument/local_log.h"
 
-#include <cassert>
+#include <utility>
 
 namespace swarmlab::instrument {
 
+namespace {
+
+template <std::size_t... I>
+std::array<const char*, sizeof...(I)> message_names(
+    std::index_sequence<I...> /*indices*/) {
+  return {wire::message_name(wire::Message(std::in_place_index<I>))...};
+}
+
+}  // namespace
+
 RemotePeerRecord& LocalPeerLog::record(peer::PeerId id) {
-  auto [it, inserted] = records_.try_emplace(id);
-  if (inserted) it->second.id = id;
-  return it->second;
+  RemotePeerRecord& r = records_[id];
+  r.id = id;
+  return r;
 }
 
 LocalPeerLog::LiveState& LocalPeerLog::live(peer::PeerId id) {
   return live_[id];
 }
 
-void LocalPeerLog::flush(peer::PeerId id, double t) {
-  LiveState& s = live(id);
+void LocalPeerLog::flush(peer::PeerId id, LiveState& s, double t) {
   const double dt = t - s.last_flush;
   if (dt <= 0.0) return;  // never rewind the accrual clock
   s.last_flush = t;
@@ -37,7 +46,7 @@ void LocalPeerLog::flush(peer::PeerId id, double t) {
 }
 
 void LocalPeerLog::flush_all(double t) {
-  for (auto& [id, s] : live_) flush(id, t);
+  for (auto [id, s] : live_) flush(id, s, t);
 }
 
 void LocalPeerLog::finalize(double t) { flush_all(t); }
@@ -47,21 +56,20 @@ void LocalPeerLog::on_start(sim::SimTime t) { start_time_ = t; }
 void LocalPeerLog::on_stop(sim::SimTime t) { flush_all(t); }
 
 void LocalPeerLog::on_peer_joined(sim::SimTime t, peer::PeerId remote) {
-  record(remote);
+  RemotePeerRecord& r = record(remote);
   LiveState& s = live(remote);
-  flush(remote, t);
+  flush(remote, s, t);
   s.in_set = true;
   s.local_interested = false;
   s.remote_interested = false;
   // A rejoining peer's piece knowledge resets with the new connection.
-  RemotePeerRecord& r = record(remote);
   r.remote_pieces = 0;
   r.remote_is_seed = false;
 }
 
 void LocalPeerLog::on_peer_left(sim::SimTime t, peer::PeerId remote) {
-  flush(remote, t);
   LiveState& s = live(remote);
+  flush(remote, s, t);
   s.in_set = false;
   s.local_interested = false;
   s.remote_interested = false;
@@ -75,41 +83,58 @@ void LocalPeerLog::note_remote_pieces(peer::PeerId id,
   const bool now_seed = new_count >= num_pieces_;
   if (was_seed != now_seed) {
     // Seed-status flips gate the leecher-to-leecher interval buckets.
-    flush(id, t);
+    flush(id, live(id), t);
   }
   r.remote_pieces = new_count;
   r.remote_is_seed = now_seed;
   if (now_seed) r.ever_remote_seed = true;
 }
 
+MessageCounters LocalPeerLog::message_counters() const {
+  static const auto names = message_names(
+      std::make_index_sequence<std::variant_size_v<wire::Message>>{});
+  MessageCounters out;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    if (sent_[i] != 0) out.sent[names[i]] = sent_[i];
+    if (received_[i] != 0) out.received[names[i]] = received_[i];
+  }
+  return out;
+}
+
 void LocalPeerLog::on_message_sent(sim::SimTime /*t*/, peer::PeerId /*to*/,
                                    const wire::Message& msg) {
-  ++message_counters_.sent[wire::message_name(msg)];
+  ++sent_[msg.index()];
 }
 
 void LocalPeerLog::on_message_received(sim::SimTime t, peer::PeerId from,
                                        const wire::Message& msg) {
-  ++message_counters_.received[wire::message_name(msg)];
+  ++received_[msg.index()];
   if (const auto* bf = std::get_if<wire::BitfieldMsg>(&msg)) {
     std::uint32_t count = 0;
     for (const bool b : bf->bits) count += b ? 1 : 0;
     note_remote_pieces(from, count, t);
-  } else if (std::get_if<wire::HaveMsg>(&msg) != nullptr) {
+  } else if (std::holds_alternative<wire::HaveMsg>(msg)) {
     note_remote_pieces(from, record(from).remote_pieces + 1, t);
+  } else if (std::holds_alternative<wire::HaveAllMsg>(msg)) {
+    note_remote_pieces(from, num_pieces_, t);  // Fast Extension seed
+  } else if (std::holds_alternative<wire::HaveNoneMsg>(msg)) {
+    note_remote_pieces(from, 0, t);
   }
 }
 
 void LocalPeerLog::on_interest_change(sim::SimTime t, peer::PeerId remote,
                                       bool interested) {
-  flush(remote, t);
-  live(remote).local_interested = interested;
+  LiveState& s = live(remote);
+  flush(remote, s, t);
+  s.local_interested = interested;
 }
 
 void LocalPeerLog::on_remote_interest_change(sim::SimTime t,
                                              peer::PeerId remote,
                                              bool interested) {
-  flush(remote, t);
-  live(remote).remote_interested = interested;
+  LiveState& s = live(remote);
+  flush(remote, s, t);
+  s.remote_interested = interested;
 }
 
 void LocalPeerLog::on_local_choke_change(sim::SimTime /*t*/,

@@ -4,11 +4,14 @@
 // the interval and byte statistics every figure of §IV is computed from.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <variant>
 #include <vector>
 
+#include "instrument/peer_table.h"
 #include "peer/observer.h"
 #include "peer/types.h"
 #include "wire/geometry.h"
@@ -64,7 +67,11 @@ struct RemotePeerRecord {
   }
 };
 
-/// Counts per wire message type, each direction.
+/// Per-remote records in ascending remote-id order.
+using RemoteRecords = PeerTable<RemotePeerRecord>;
+
+/// Counts per wire message type, each direction, keyed by
+/// wire::message_name(); only the types seen appear.
 struct MessageCounters {
   std::map<std::string, std::uint64_t> sent;
   std::map<std::string, std::uint64_t> received;
@@ -106,19 +113,15 @@ class LocalPeerLog final : public peer::PeerObserver {
   /// mid-run; analyzers call it with the final time).
   void finalize(double t);
 
-  [[nodiscard]] const std::map<peer::PeerId, RemotePeerRecord>& records()
-      const {
-    return records_;
-  }
+  [[nodiscard]] const RemoteRecords& records() const { return records_; }
   [[nodiscard]] const std::vector<PieceEvent>& piece_events() const {
     return piece_events_;
   }
   [[nodiscard]] const std::vector<BlockEvent>& block_events() const {
     return block_events_;
   }
-  [[nodiscard]] const MessageCounters& message_counters() const {
-    return message_counters_;
-  }
+  /// Builds the name-keyed view of the per-type message counts.
+  [[nodiscard]] MessageCounters message_counters() const;
   [[nodiscard]] double start_time() const { return start_time_; }
   /// Time the local peer became a seed; -1 if it never completed.
   [[nodiscard]] double seed_time() const { return seed_time_; }
@@ -136,17 +139,22 @@ class LocalPeerLog final : public peer::PeerObserver {
 
   RemotePeerRecord& record(peer::PeerId id);
   LiveState& live(peer::PeerId id);
-  /// Accrues interval time for one remote up to `t`.
-  void flush(peer::PeerId id, double t);
+  /// Accrues interval time for remote `id` (live state `s`) up to `t`.
+  void flush(peer::PeerId id, LiveState& s, double t);
   void flush_all(double t);
   void note_remote_pieces(peer::PeerId id, std::uint32_t new_count, double t);
 
+  /// Message counts indexed by wire::Message::index().
+  using MessageTally =
+      std::array<std::uint64_t, std::variant_size_v<wire::Message>>;
+
   std::uint32_t num_pieces_;
-  std::map<peer::PeerId, RemotePeerRecord> records_;
-  std::map<peer::PeerId, LiveState> live_;
+  RemoteRecords records_;
+  PeerTable<LiveState> live_;
   std::vector<PieceEvent> piece_events_;
   std::vector<BlockEvent> block_events_;
-  MessageCounters message_counters_;
+  MessageTally sent_{};
+  MessageTally received_{};
   double start_time_ = -1.0;
   double seed_time_ = -1.0;
   double end_game_time_ = -1.0;

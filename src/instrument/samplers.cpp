@@ -35,41 +35,4 @@ void AvailabilitySampler::tick() {
   event_ = sim_.schedule_in(interval_, [this] { tick(); });
 }
 
-RateSampler::RateSampler(sim::Simulation& sim, const peer::Peer& peer,
-                         double interval)
-    : sim_(sim), peer_(peer), interval_(interval) {
-  tick();
-}
-
-RateSampler::~RateSampler() { stop(); }
-
-void RateSampler::stop() {
-  stopped_ = true;
-  if (event_ != 0) {
-    sim_.cancel(event_);
-    event_ = 0;
-  }
-}
-
-void RateSampler::tick() {
-  if (stopped_) return;
-  const double t = sim_.now();
-  if (peer_.active()) {
-    double down = 0.0;
-    double up = 0.0;
-    double unchoked = 0.0;
-    for (const peer::PeerId remote : peer_.connected_peers()) {
-      const peer::Connection* conn = peer_.connection(remote);
-      if (conn == nullptr) continue;
-      down += conn->download_rate.rate(t);
-      up += conn->upload_rate.rate(t);
-      if (!conn->am_choking) unchoked += 1.0;
-    }
-    down_.add(t, down);
-    up_.add(t, up);
-    unchoked_.add(t, unchoked);
-  }
-  event_ = sim_.schedule_in(interval_, [this] { tick(); });
-}
-
 }  // namespace swarmlab::instrument

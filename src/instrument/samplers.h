@@ -1,8 +1,6 @@
-// Periodic samplers over the local peer's state, backing the time-axis
+// Periodic sampler over the local peer's state, backing the time-axis
 // figures: piece replication in the peer set (Figs. 2 and 4), rarest-set
-// size (Figs. 3 and 6), peer set size (Fig. 5), and the rate estimations
-// the choke algorithm consumes (the paper's third instrumentation log,
-// §III-C).
+// size (Figs. 3 and 6) and peer set size (Fig. 5).
 #pragma once
 
 #include "peer/peer.h"
@@ -49,44 +47,6 @@ class AvailabilitySampler {
   stats::TimeSeries max_;
   stats::TimeSeries rarest_;
   stats::TimeSeries peers_;
-};
-
-/// Samples the local peer's aggregate transfer rates (the trailing-window
-/// estimates the choke algorithm orders peers by) and the size of its
-/// active set.
-class RateSampler {
- public:
-  RateSampler(sim::Simulation& sim, const peer::Peer& peer,
-              double interval = 10.0);
-  ~RateSampler();
-
-  RateSampler(const RateSampler&) = delete;
-  RateSampler& operator=(const RateSampler&) = delete;
-
-  void stop();
-
-  /// Sum of per-connection download-rate estimates (bytes/s).
-  [[nodiscard]] const stats::TimeSeries& download_rate() const {
-    return down_;
-  }
-  /// Sum of per-connection upload-rate estimates (bytes/s).
-  [[nodiscard]] const stats::TimeSeries& upload_rate() const { return up_; }
-  /// Number of peers currently unchoked by the local peer.
-  [[nodiscard]] const stats::TimeSeries& unchoked_peers() const {
-    return unchoked_;
-  }
-
- private:
-  void tick();
-
-  sim::Simulation& sim_;
-  const peer::Peer& peer_;
-  double interval_;
-  sim::EventId event_ = 0;
-  bool stopped_ = false;
-  stats::TimeSeries down_;
-  stats::TimeSeries up_;
-  stats::TimeSeries unchoked_;
 };
 
 }  // namespace swarmlab::instrument

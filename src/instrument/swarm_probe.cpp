@@ -1,6 +1,7 @@
 #include "instrument/swarm_probe.h"
 
 #include <cmath>
+#include <map>
 #include <string>
 
 #include "core/availability.h"
@@ -74,25 +75,29 @@ SwarmProbe::SwarmProbe(MetricsRegistry& registry, std::uint32_t num_pieces,
 }
 
 SwarmProbe::PeerState& SwarmProbe::ensure(peer::PeerId self) {
-  auto it = states_.find(self);
-  if (it == states_.end()) {
-    it = states_.emplace(self, PeerState{}).first;
-    // Detail logs go to the first detail_peer_cap tracked peers
-    // (deterministic — first-callback order — and no RNG); later peers
-    // get counting-only state.
-    if (opts_.per_peer_detail &&
-        (opts_.detail_peer_cap == 0 ||
-         detailed_peers_ < opts_.detail_peer_cap)) {
-      ++detailed_peers_;
-      it->second.log = std::make_unique<LocalPeerLog>(num_pieces_);
-      it->second.market = std::make_unique<ChokeMarketLog>();
-    }
+  if (PeerState* st = states_.find(self)) return *st;
+  PeerState& st = states_[self];
+  // Detail logs go to the first detail_peer_cap tracked peers
+  // (deterministic — first-callback order — and no RNG); later peers
+  // get counting-only state.
+  if (opts_.per_peer_detail &&
+      (opts_.detail_peer_cap == 0 ||
+       detailed_peers_ < opts_.detail_peer_cap)) {
+    ++detailed_peers_;
+    st.detail = std::make_unique<Detail>(num_pieces_);
   }
-  return it->second;
+  return st;
+}
+
+SwarmProbe::Cell* SwarmProbe::find_cell(PeerState& st, peer::PeerId remote) {
+  for (Cell& cell : st.cells) {
+    if (cell.remote == remote) return &cell;
+  }
+  return nullptr;
 }
 
 void SwarmProbe::drop_cells(PeerState& st) {
-  for (const auto& [remote, cell] : st.cells) {
+  for (const Cell& cell : st.cells) {
     --total_cells_;
     if (cell.remote_interested) --interested_cells_;
     if (cell.local_unchoked) --unchoked_cells_;
@@ -123,10 +128,10 @@ void SwarmProbe::sample(double t) {
 
   if (resolver_) {
     // Focus-peer availability view (the paper's instrumented client).
-    const peer::PeerId focus = focus_ != peer::kNoPeer
-                                   ? focus_
-                                   : (states_.empty() ? peer::kNoPeer
-                                                      : states_.begin()->first);
+    peer::PeerId focus = focus_;
+    if (focus == peer::kNoPeer && !states_.empty()) {
+      focus = (*states_.begin()).first;  // the lowest tracked id
+    }
     if (const peer::Peer* p = focus != peer::kNoPeer ? resolver_(focus)
                                                      : nullptr;
         p != nullptr && p->active()) {
@@ -143,7 +148,7 @@ void SwarmProbe::sample(double t) {
     const double dt = t - last_sample_t_;
     if (dt > 0.0) {
       std::map<std::uint64_t, std::pair<double, double>> classes;  // bytes,cap
-      for (auto& [id, st] : states_) {
+      for (const auto [id, st] : states_) {
         if (!st.started) continue;
         const peer::Peer* p = resolver_(id);
         if (p == nullptr) continue;
@@ -162,7 +167,7 @@ void SwarmProbe::sample(double t) {
     }
   }
 
-  for (auto& [id, st] : states_) st.window_up_bytes = 0;
+  for (PeerState& st : states_.rows()) st.window_up_bytes = 0;
   window_unchokes_ = 0;
   window_chokes_ = 0;
   last_sample_t_ = t;
@@ -172,33 +177,38 @@ void SwarmProbe::finalize(double t) {
   if (finalized_) return;
   finalized_ = true;
   sample(t);
-  for (auto& [id, st] : states_) {
-    if (st.log) st.log->finalize(t);
-    if (st.market) {
-      st.stats = st.market->finalize(t);
-      for (double tenure : st.stats.tenures) {
-        registry_.observe(h_tenure_, tenure);
-      }
+  for (const auto [id, st] : states_) {
+    if (!st.detail) continue;
+    Detail& d = *st.detail;
+    d.log.finalize(t);
+    d.stats = d.market.finalize(t);
+    for (double tenure : d.stats.tenures) {
+      registry_.observe(h_tenure_, tenure);
     }
   }
 }
 
+const SwarmProbe::Detail* SwarmProbe::detail(peer::PeerId id) const {
+  const PeerState* st = states_.find(id);
+  return st != nullptr ? st->detail.get() : nullptr;
+}
+
 const LocalPeerLog* SwarmProbe::peer_log(peer::PeerId id) const {
-  const auto it = states_.find(id);
-  return it != states_.end() ? it->second.log.get() : nullptr;
+  const Detail* d = detail(id);
+  return d != nullptr ? &d->log : nullptr;
 }
 
 MarketStats SwarmProbe::market_stats(peer::PeerId id) const {
-  const auto it = states_.find(id);
-  return it != states_.end() ? it->second.stats : MarketStats{};
+  const Detail* d = detail(id);
+  return d != nullptr ? d->stats : MarketStats{};
 }
 
 UnchokeCorrelation SwarmProbe::unchoke_correlation(peer::PeerId id,
                                                    bool seed_state) const {
-  const auto it = states_.find(id);
-  if (it == states_.end() || !it->second.log) return UnchokeCorrelation{};
-  return seed_state ? analyze_unchoke_correlation_seed(*it->second.log)
-                    : analyze_unchoke_correlation_leecher(*it->second.log);
+  const Detail* d = detail(id);
+  if (d == nullptr) return UnchokeCorrelation{};
+  return seed_state ? analyze_unchoke_correlation_seed(d->log)
+                    : analyze_unchoke_correlation_leecher(d->log);
 }
 
 // --- SwarmObserver callbacks ----------------------------------------------
@@ -208,8 +218,7 @@ void SwarmProbe::on_start(peer::PeerId self, sim::SimTime t) {
   registry_.add(c_starts_);
   PeerState& st = ensure(self);
   st.started = true;
-  if (st.log) st.log->on_start(t);
-  if (st.market) st.market->on_start(t);
+  forward(st, [&](auto& log) { log.on_start(t); });
 }
 
 void SwarmProbe::on_stop(peer::PeerId self, sim::SimTime t) {
@@ -218,8 +227,7 @@ void SwarmProbe::on_stop(peer::PeerId self, sim::SimTime t) {
   PeerState& st = ensure(self);
   st.started = false;
   drop_cells(st);
-  if (st.log) st.log->on_stop(t);
-  if (st.market) st.market->on_stop(t);
+  forward(st, [&](auto& log) { log.on_stop(t); });
 }
 
 void SwarmProbe::on_peer_joined(peer::PeerId self, sim::SimTime t,
@@ -227,9 +235,11 @@ void SwarmProbe::on_peer_joined(peer::PeerId self, sim::SimTime t,
   maybe_sample(t);
   registry_.add(c_joins_);
   PeerState& st = ensure(self);
-  if (st.cells.emplace(remote, Cell{}).second) ++total_cells_;
-  if (st.log) st.log->on_peer_joined(t, remote);
-  if (st.market) st.market->on_peer_joined(t, remote);
+  if (find_cell(st, remote) == nullptr) {
+    st.cells.push_back(Cell{remote});
+    ++total_cells_;
+  }
+  forward(st, [&](auto& log) { log.on_peer_joined(t, remote); });
 }
 
 void SwarmProbe::on_peer_left(peer::PeerId self, sim::SimTime t,
@@ -237,15 +247,14 @@ void SwarmProbe::on_peer_left(peer::PeerId self, sim::SimTime t,
   maybe_sample(t);
   registry_.add(c_leaves_);
   PeerState& st = ensure(self);
-  const auto it = st.cells.find(remote);
-  if (it != st.cells.end()) {
+  if (Cell* cell = find_cell(st, remote)) {
     --total_cells_;
-    if (it->second.remote_interested) --interested_cells_;
-    if (it->second.local_unchoked) --unchoked_cells_;
-    st.cells.erase(it);
+    if (cell->remote_interested) --interested_cells_;
+    if (cell->local_unchoked) --unchoked_cells_;
+    *cell = st.cells.back();
+    st.cells.pop_back();
   }
-  if (st.log) st.log->on_peer_left(t, remote);
-  if (st.market) st.market->on_peer_left(t, remote);
+  forward(st, [&](auto& log) { log.on_peer_left(t, remote); });
 }
 
 void SwarmProbe::on_message_sent(peer::PeerId self, sim::SimTime t,
@@ -253,8 +262,7 @@ void SwarmProbe::on_message_sent(peer::PeerId self, sim::SimTime t,
   maybe_sample(t);
   registry_.add(c_msgs_sent_);
   PeerState& st = ensure(self);
-  if (st.log) st.log->on_message_sent(t, to, msg);
-  if (st.market) st.market->on_message_sent(t, to, msg);
+  forward(st, [&](auto& log) { log.on_message_sent(t, to, msg); });
 }
 
 void SwarmProbe::on_message_received(peer::PeerId self, sim::SimTime t,
@@ -263,16 +271,16 @@ void SwarmProbe::on_message_received(peer::PeerId self, sim::SimTime t,
   maybe_sample(t);
   registry_.add(c_msgs_recv_);
   PeerState& st = ensure(self);
-  if (st.log) st.log->on_message_received(t, from, msg);
-  if (st.market) st.market->on_message_received(t, from, msg);
+  forward(st, [&](auto& log) { log.on_message_received(t, from, msg); });
 }
 
 void SwarmProbe::on_interest_change(peer::PeerId self, sim::SimTime t,
                                     peer::PeerId remote, bool interested) {
   maybe_sample(t);
   PeerState& st = ensure(self);
-  if (st.log) st.log->on_interest_change(t, remote, interested);
-  if (st.market) st.market->on_interest_change(t, remote, interested);
+  forward(st, [&](auto& log) {
+    log.on_interest_change(t, remote, interested);
+  });
 }
 
 void SwarmProbe::on_remote_interest_change(peer::PeerId self, sim::SimTime t,
@@ -280,13 +288,14 @@ void SwarmProbe::on_remote_interest_change(peer::PeerId self, sim::SimTime t,
                                            bool interested) {
   maybe_sample(t);
   PeerState& st = ensure(self);
-  const auto it = st.cells.find(remote);
-  if (it != st.cells.end() && it->second.remote_interested != interested) {
-    it->second.remote_interested = interested;
+  Cell* cell = find_cell(st, remote);
+  if (cell != nullptr && cell->remote_interested != interested) {
+    cell->remote_interested = interested;
     interested ? ++interested_cells_ : --interested_cells_;
   }
-  if (st.log) st.log->on_remote_interest_change(t, remote, interested);
-  if (st.market) st.market->on_remote_interest_change(t, remote, interested);
+  forward(st, [&](auto& log) {
+    log.on_remote_interest_change(t, remote, interested);
+  });
 }
 
 void SwarmProbe::on_local_choke_change(peer::PeerId self, sim::SimTime t,
@@ -295,21 +304,23 @@ void SwarmProbe::on_local_choke_change(peer::PeerId self, sim::SimTime t,
   registry_.add(unchoked ? c_unchokes_ : c_chokes_);
   unchoked ? ++window_unchokes_ : ++window_chokes_;
   PeerState& st = ensure(self);
-  const auto it = st.cells.find(remote);
-  if (it != st.cells.end() && it->second.local_unchoked != unchoked) {
-    it->second.local_unchoked = unchoked;
+  Cell* cell = find_cell(st, remote);
+  if (cell != nullptr && cell->local_unchoked != unchoked) {
+    cell->local_unchoked = unchoked;
     unchoked ? ++unchoked_cells_ : --unchoked_cells_;
   }
-  if (st.log) st.log->on_local_choke_change(t, remote, unchoked);
-  if (st.market) st.market->on_local_choke_change(t, remote, unchoked);
+  forward(st, [&](auto& log) {
+    log.on_local_choke_change(t, remote, unchoked);
+  });
 }
 
 void SwarmProbe::on_remote_choke_change(peer::PeerId self, sim::SimTime t,
                                         peer::PeerId remote, bool unchoked) {
   maybe_sample(t);
   PeerState& st = ensure(self);
-  if (st.log) st.log->on_remote_choke_change(t, remote, unchoked);
-  if (st.market) st.market->on_remote_choke_change(t, remote, unchoked);
+  forward(st, [&](auto& log) {
+    log.on_remote_choke_change(t, remote, unchoked);
+  });
 }
 
 void SwarmProbe::on_choke_round(peer::PeerId self, sim::SimTime t,
@@ -318,8 +329,7 @@ void SwarmProbe::on_choke_round(peer::PeerId self, sim::SimTime t,
   maybe_sample(t);
   registry_.add(c_rounds_);
   PeerState& st = ensure(self);
-  if (st.log) st.log->on_choke_round(t, seed_state, unchoked);
-  if (st.market) st.market->on_choke_round(t, seed_state, unchoked);
+  forward(st, [&](auto& log) { log.on_choke_round(t, seed_state, unchoked); });
 }
 
 void SwarmProbe::on_block_received(peer::PeerId self, sim::SimTime t,
@@ -329,8 +339,7 @@ void SwarmProbe::on_block_received(peer::PeerId self, sim::SimTime t,
   registry_.add(c_blocks_recv_);
   registry_.add(c_bytes_down_, bytes);
   PeerState& st = ensure(self);
-  if (st.log) st.log->on_block_received(t, from, block, bytes);
-  if (st.market) st.market->on_block_received(t, from, block, bytes);
+  forward(st, [&](auto& log) { log.on_block_received(t, from, block, bytes); });
 }
 
 void SwarmProbe::on_block_uploaded(peer::PeerId self, sim::SimTime t,
@@ -341,8 +350,7 @@ void SwarmProbe::on_block_uploaded(peer::PeerId self, sim::SimTime t,
   registry_.add(c_bytes_up_, bytes);
   PeerState& st = ensure(self);
   st.window_up_bytes += bytes;
-  if (st.log) st.log->on_block_uploaded(t, to, block, bytes);
-  if (st.market) st.market->on_block_uploaded(t, to, block, bytes);
+  forward(st, [&](auto& log) { log.on_block_uploaded(t, to, block, bytes); });
 }
 
 void SwarmProbe::on_piece_complete(peer::PeerId self, sim::SimTime t,
@@ -350,8 +358,7 @@ void SwarmProbe::on_piece_complete(peer::PeerId self, sim::SimTime t,
   maybe_sample(t);
   registry_.add(c_pieces_done_);
   PeerState& st = ensure(self);
-  if (st.log) st.log->on_piece_complete(t, piece);
-  if (st.market) st.market->on_piece_complete(t, piece);
+  forward(st, [&](auto& log) { log.on_piece_complete(t, piece); });
 }
 
 void SwarmProbe::on_piece_failed(peer::PeerId self, sim::SimTime t,
@@ -359,24 +366,21 @@ void SwarmProbe::on_piece_failed(peer::PeerId self, sim::SimTime t,
   maybe_sample(t);
   registry_.add(c_pieces_failed_);
   PeerState& st = ensure(self);
-  if (st.log) st.log->on_piece_failed(t, piece);
-  if (st.market) st.market->on_piece_failed(t, piece);
+  forward(st, [&](auto& log) { log.on_piece_failed(t, piece); });
 }
 
 void SwarmProbe::on_end_game(peer::PeerId self, sim::SimTime t) {
   maybe_sample(t);
   registry_.add(c_end_games_);
   PeerState& st = ensure(self);
-  if (st.log) st.log->on_end_game(t);
-  if (st.market) st.market->on_end_game(t);
+  forward(st, [&](auto& log) { log.on_end_game(t); });
 }
 
 void SwarmProbe::on_became_seed(peer::PeerId self, sim::SimTime t) {
   maybe_sample(t);
   registry_.add(c_became_seeds_);
   PeerState& st = ensure(self);
-  if (st.log) st.log->on_became_seed(t);
-  if (st.market) st.market->on_became_seed(t);
+  forward(st, [&](auto& log) { log.on_became_seed(t); });
 }
 
 }  // namespace swarmlab::instrument

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -21,6 +20,7 @@
 #include "instrument/choke_market.h"
 #include "instrument/local_log.h"
 #include "instrument/metrics.h"
+#include "instrument/peer_table.h"
 #include "peer/observer.h"
 
 namespace swarmlab::core {
@@ -137,20 +137,41 @@ class SwarmProbe final : public peer::SwarmObserver {
  private:
   /// One (tracked peer, remote) cell of the interested/unchoked matrix.
   struct Cell {
+    peer::PeerId remote = peer::kNoPeer;
     bool remote_interested = false;
     bool local_unchoked = false;
   };
 
+  /// Full per-peer logs of one tracked peer (per_peer_detail).
+  struct Detail {
+    explicit Detail(std::uint32_t num_pieces) : log(num_pieces) {}
+    LocalPeerLog log;
+    ChokeMarketLog market;
+    MarketStats stats;  // filled by finalize()
+  };
+
   struct PeerState {
-    std::unique_ptr<LocalPeerLog> log;        // null unless per_peer_detail
-    std::unique_ptr<ChokeMarketLog> market;   // null unless per_peer_detail
-    std::map<peer::PeerId, Cell> cells;       // current peer set
-    std::uint64_t window_up_bytes = 0;        // since the last sample
-    MarketStats stats;                        // filled by finalize()
+    /// Null without per_peer_detail, or beyond detail_peer_cap.
+    std::unique_ptr<Detail> detail;
+    /// The current peer set, unordered. It is bounded by the peer-set
+    /// cap, so a scan stays short, and it costs a few bytes per
+    /// connection rather than a row per PeerId.
+    std::vector<Cell> cells;
+    std::uint64_t window_up_bytes = 0;  // since the last sample
     bool started = false;
   };
 
   PeerState& ensure(peer::PeerId self);
+  [[nodiscard]] const Detail* detail(peer::PeerId id) const;
+  static Cell* find_cell(PeerState& st, peer::PeerId remote);
+  /// Hands one callback to both detail logs of `st`, if it has them.
+  template <class Fn>
+  static void forward(PeerState& st, Fn&& fn) {
+    if (st.detail) {
+      fn(st.detail->log);
+      fn(st.detail->market);
+    }
+  }
   void drop_cells(PeerState& st);
   void maybe_sample(double t);
   void sample(double t);
@@ -162,8 +183,8 @@ class SwarmProbe final : public peer::SwarmObserver {
   const core::AvailabilityMap* global_ = nullptr;
   peer::PeerId focus_ = peer::kNoPeer;
 
-  std::map<peer::PeerId, PeerState> states_;
-  std::size_t detailed_peers_ = 0;  // states_ entries carrying logs
+  PeerTable<PeerState> states_;  // one row per tracked peer
+  std::size_t detailed_peers_ = 0;  // states_ rows carrying logs
 
   // Matrix occupancy aggregates, maintained incrementally.
   std::uint64_t total_cells_ = 0;

@@ -1,10 +1,9 @@
-// ChokeMarketLog, RandomRotationChoker, and RateSampler tests.
+// ChokeMarketLog and RandomRotationChoker tests.
 #include <gtest/gtest.h>
 
 #include "core/choker.h"
 #include "instrument/choke_market.h"
-#include "instrument/samplers.h"
-#include "swarm/swarm.h"
+#include "sim/rng.h"
 
 namespace swarmlab {
 namespace {
@@ -76,6 +75,25 @@ TEST(ChokeMarketLog, PeerDepartureClosesTenure) {
   EXPECT_DOUBLE_EQ(stats.tenures[0], 1.0);
 }
 
+TEST(ChokeMarketLog, RoundsSkipDepartedAndUnknownRemotes) {
+  instrument::ChokeMarketLog log;
+  log.on_start(0.0);
+  log.on_peer_joined(0.0, 3);
+  log.on_peer_joined(0.0, 1);
+  log.on_peer_left(5.0, 3);
+  // Selecting a departed or never-seen remote holds no slot.
+  log.on_choke_round(10.0, false, {1, 3, 8});
+  log.on_peer_joined(12.0, 3);
+  log.on_choke_round(20.0, false, {3});
+  log.on_choke_round(30.0, false, {3});
+  const auto stats = log.finalize(40.0);
+  EXPECT_EQ(stats.rounds, 3u);
+  EXPECT_EQ(stats.slot_rounds, 3u);
+  // Peer 1's spell ends at round 2; peer 3's is closed by finalize.
+  EXPECT_EQ(stats.tenures, (std::vector<double>{1.0, 2.0}));
+  EXPECT_DOUBLE_EQ(stats.mutuality, 0.0);  // nobody unchoked us
+}
+
 TEST(RandomRotationChoker, DrawsOnlyInterestedUpToSlots) {
   core::ProtocolParams params;
   core::RandomRotationChoker choker(params);
@@ -120,49 +138,6 @@ TEST(RandomRotationChoker, FactorySelectsIt) {
   EXPECT_NE(dynamic_cast<core::RandomRotationChoker*>(
                 core::make_leecher_choker(params).get()),
             nullptr);
-}
-
-TEST(RateSampler, TracksTransferRates) {
-  sim::Simulation sim(1);
-  const wire::ContentGeometry geo(8 * 256 * 1024);
-  swarm::Swarm sw(sim, geo);
-  peer::PeerConfig s;
-  s.start_complete = true;
-  s.upload_capacity = 20e3;
-  sw.start_peer(sw.add_peer(std::move(s)));
-  peer::PeerConfig l;
-  l.upload_capacity = 20e3;
-  const peer::PeerId lid = sw.add_peer(std::move(l));
-  sw.start_peer(lid);
-  instrument::RateSampler sampler(sim, *sw.find_peer(lid), 10.0);
-  sim.run_until(60.0);
-  // Mid-download the leecher pulls roughly the seed's capacity.
-  ASSERT_FALSE(sampler.download_rate().empty());
-  EXPECT_GT(sampler.download_rate().max_value(), 10e3);
-  // The leecher uploads nothing (the seed wants nothing).
-  EXPECT_NEAR(sampler.upload_rate().max_value(), 0.0, 1.0);
-  sampler.stop();
-}
-
-TEST(RateSampler, UnchokedCountBounded) {
-  sim::Simulation sim(2);
-  const wire::ContentGeometry geo(8 * 256 * 1024);
-  swarm::Swarm sw(sim, geo);
-  peer::PeerConfig s;
-  s.start_complete = true;
-  s.upload_capacity = 10e3;
-  const peer::PeerId sid = sw.add_peer(std::move(s));
-  sw.start_peer(sid);
-  for (int i = 0; i < 8; ++i) {
-    peer::PeerConfig l;
-    l.upload_capacity = 10e3;
-    sw.start_peer(sw.add_peer(std::move(l)));
-  }
-  instrument::RateSampler sampler(sim, *sw.find_peer(sid), 5.0);
-  sim.run_until(120.0);
-  ASSERT_FALSE(sampler.unchoked_peers().empty());
-  EXPECT_LE(sampler.unchoked_peers().max_value(), 4.0);
-  EXPECT_GT(sampler.unchoked_peers().max_value(), 0.0);
 }
 
 }  // namespace

@@ -34,7 +34,7 @@ TEST(FastBehavior, SeedAnnouncesWithHaveAll) {
   PeerConfig s;
   s.start_complete = true;
   s.upload_capacity = 50e3;
-  h.add(std::move(s));
+  const PeerId sid = h.add(std::move(s));
   instrument::LocalPeerLog log(8);
   PeerConfig l;
   l.upload_capacity = 50e3;
@@ -44,9 +44,14 @@ TEST(FastBehavior, SeedAnnouncesWithHaveAll) {
   EXPECT_EQ(log.message_counters().received.count("bitfield"), 0u);
   // The have_all produced a complete remote view.
   const peer::Connection* conn =
-      h.swarm.find_peer(lid)->connection(1);
+      h.swarm.find_peer(lid)->connection(sid);
   ASSERT_NE(conn, nullptr);
   EXPECT_TRUE(conn->remote_have.complete());
+  // The log counts the announcement too: the seed's bytes are seed bytes.
+  const instrument::RemotePeerRecord& r = log.records().at(sid);
+  EXPECT_TRUE(r.remote_is_seed);
+  EXPECT_GT(r.down_bytes_from_seed, 0u);
+  EXPECT_EQ(r.down_bytes_from_leecher, 0u);
 }
 
 TEST(FastBehavior, EmptyPeerAnnouncesWithHaveNone) {

@@ -2,6 +2,11 @@
 // figure analyzers, driven directly (no swarm needed).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "instrument/analyzers.h"
 #include "instrument/local_log.h"
 
@@ -141,6 +146,52 @@ TEST(LocalPeerLog, EventLogsOrdered) {
   EXPECT_EQ(log.piece_events().size(), 2u);
   EXPECT_EQ(log.piece_events()[0].piece, 3u);
   EXPECT_DOUBLE_EQ(log.end_game_time(), 12.0);
+}
+
+TEST(LocalPeerLog, FastExtensionAnnouncementsSetRemotePieces) {
+  LocalPeerLog log(kPieces);
+  log.on_start(0.0);
+  log.on_peer_joined(0.0, 1);
+  log.on_message_received(0.0, 1, wire::Message{wire::HaveNoneMsg{}});
+  EXPECT_EQ(log.records().at(1).remote_pieces, 0u);
+  EXPECT_FALSE(log.records().at(1).remote_is_seed);
+  log.on_peer_joined(0.0, 2);
+  log.on_message_received(10.0, 2, wire::Message{wire::HaveAllMsg{}});
+  log.on_block_received(11.0, 2, {0, 0}, 100);
+  log.finalize(30.0);
+  const RemotePeerRecord& seed = log.records().at(2);
+  EXPECT_EQ(seed.remote_pieces, kPieces);
+  EXPECT_TRUE(seed.remote_is_seed);
+  EXPECT_EQ(seed.down_bytes_from_seed, 100u);
+  EXPECT_DOUBLE_EQ(seed.time_in_set_leecher, 10.0);
+  EXPECT_DOUBLE_EQ(log.records().at(1).time_in_set_leecher, 30.0);
+}
+
+TEST(LocalPeerLog, MessageCountersNameOnlySeenTypes) {
+  LocalPeerLog log(kPieces);
+  log.on_message_sent(0.0, 1, wire::Message{wire::InterestedMsg{}});
+  log.on_message_sent(1.0, 1, wire::Message{wire::InterestedMsg{}});
+  log.on_message_received(2.0, 1, wire::Message{wire::HaveMsg{3}});
+  const MessageCounters mc = log.message_counters();
+  EXPECT_EQ(mc.sent, (std::map<std::string, std::uint64_t>{{"interested", 2}}));
+  EXPECT_EQ(mc.received, (std::map<std::string, std::uint64_t>{{"have", 1}}));
+}
+
+TEST(LocalPeerLog, RecordsIterateInAscendingIdOrder) {
+  LocalPeerLog log(kPieces);
+  log.on_start(0.0);
+  for (const peer::PeerId id : {9u, 2u, 5u}) log.on_peer_joined(1.0, id);
+  // Interest alone touches no record.
+  log.on_interest_change(2.0, 7, true);
+  std::vector<peer::PeerId> ids;
+  for (const auto& [id, r] : log.records()) {
+    EXPECT_EQ(r.id, id);
+    ids.push_back(id);
+  }
+  EXPECT_EQ(ids, (std::vector<peer::PeerId>{2, 5, 9}));
+  EXPECT_EQ(log.records().size(), 3u);
+  EXPECT_EQ(log.records().find(7), nullptr);
+  EXPECT_THROW((void)log.records().at(7), std::out_of_range);
 }
 
 // --- analyzers --------------------------------------------------------------

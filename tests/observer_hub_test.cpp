@@ -3,12 +3,15 @@
 // all-peers observer must not change any simulated trajectory.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "instrument/swarm_probe.h"
 #include "instrument/trace.h"
 #include "peer/observer.h"
 #include "runner/batch_runner.h"
@@ -279,6 +282,94 @@ TEST(DigestUnderObservation, SampledScopeIsEquallyPassive) {
   ASSERT_TRUE(sampled.telemetry.is_object());
   EXPECT_EQ(sampled.telemetry.find("scope")->as_string(), "sampled");
   ASSERT_NE(sampled.telemetry.find("sample_k"), nullptr);
+}
+
+// --- golden telemetry --------------------------------------------------------
+
+std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+std::uint64_t fnv1a(std::uint64_t h, double v) {
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  return fnv1a(h, &bits, sizeof bits);
+}
+
+std::uint64_t hash_market(std::uint64_t h, const instrument::MarketStats& m) {
+  h = fnv1a(h, static_cast<double>(m.rounds));
+  h = fnv1a(h, static_cast<double>(m.slot_rounds));
+  for (const double v : m.tenures) h = fnv1a(h, v);
+  h = fnv1a(h, m.mean_tenure);
+  h = fnv1a(h, m.max_tenure);
+  h = fnv1a(h, m.mutuality);
+  return fnv1a(h, m.null_mutuality);
+}
+
+std::uint64_t hash_correlation(std::uint64_t h,
+                               const instrument::UnchokeCorrelation& c) {
+  for (const double v : c.interested_time) h = fnv1a(h, v);
+  for (const double v : c.unchokes) h = fnv1a(h, v);
+  h = fnv1a(h, c.spearman);
+  return fnv1a(h, c.pearson);
+}
+
+// Nothing else pins telemetry content: the digest-under-observation tests
+// equalize it and the golden trajectory digests never see it. Three
+// Table-I rows under scope `all` (the benchmark's selftest set) pin every
+// counter, histogram and series of the report's telemetry, plus the local
+// peer's choke-market and unchoke-correlation results from a directly
+// wired probe. An instrument change that moves any of those bytes fails
+// here.
+TEST(TelemetryGolden, Table1RowsUnderScopeAll) {
+  constexpr std::uint64_t kGoldenTelemetry = 0x817188e8e1b84a84ull;
+  swarm::ScaleLimits limits = tiny_limits();
+  limits.max_peers = 80;
+  limits.max_pieces = 48;
+  std::vector<runner::RunResult> results;
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (runner::BatchJob& job : runner::table1_jobs(20061025, limits)) {
+    if (job.id != 2 && job.id != 13 && job.id != 19) continue;
+    job.config.observation.scope = swarm::ObservationPlan::Scope::kAll;
+    results.push_back(runner::run_scenario_job(job, 200.0));
+
+    instrument::MetricsRegistry registry;
+    instrument::SwarmProbe probe(registry, job.config.num_pieces);
+    swarm::ScenarioRunner sr(job.config, job.seed, nullptr, &probe);
+    swarm::Swarm* sw = &sr.swarm();
+    probe.bind([sw](peer::PeerId id) -> const peer::Peer* {
+      return sw->find_peer(id);
+    });
+    probe.bind_availability(&sw->global_availability());
+    probe.set_focus(sr.local_peer_id());
+    probe.finalize(sr.run_until_local_complete(200.0));
+    const peer::PeerId local = sr.local_peer_id();
+    h = hash_market(h, probe.market_stats(local));
+    h = hash_correlation(h, probe.unchoke_correlation(local, false));
+    h = hash_correlation(h, probe.unchoke_correlation(local, true));
+  }
+  ASSERT_EQ(results.size(), 3u);
+
+  runner::BatchOptions opts;
+  opts.master_seed = 20061025;
+  const runner::json::Value view = runner::deterministic_view(
+      runner::make_report("telemetry-golden", opts, results, 0.0));
+  const runner::json::Value* entries = view.find("results");
+  ASSERT_NE(entries, nullptr);
+  ASSERT_EQ(entries->size(), 3u);
+  for (const runner::json::Value& entry : entries->items()) {
+    const runner::json::Value* telemetry = entry.find("telemetry");
+    ASSERT_NE(telemetry, nullptr);
+    ASSERT_NE(telemetry->find("metrics"), nullptr);
+    const std::string bytes = runner::json::dump(*telemetry);
+    h = fnv1a(h, bytes.data(), bytes.size());
+  }
+  EXPECT_EQ(h, kGoldenTelemetry)
+      << "telemetry digest changed: 0x" << std::hex << h;
 }
 
 }  // namespace
