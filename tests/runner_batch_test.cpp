@@ -458,10 +458,11 @@ std::uint64_t digest_results(const std::vector<RunResult>& results) {
   return h;
 }
 
-std::vector<RunResult> run_golden_jobs(int workers) {
+std::vector<RunResult> run_golden_jobs(int workers,
+                                      const std::string& backend = "fluid") {
   // Table-I torrent 3 at test scale, under four independent seeds.
-  const swarm::ScenarioConfig cfg =
-      swarm::scenario_from_table1(3, tiny_limits());
+  swarm::ScenarioConfig cfg = swarm::scenario_from_table1(3, tiny_limits());
+  cfg.network_backend = backend;
   std::vector<BatchJob> jobs;
   for (int i = 1; i <= 4; ++i) {
     BatchJob job;
@@ -493,6 +494,18 @@ TEST(BatchDeterminism, GoldenTrajectoryDigestStableAcrossWorkerCounts) {
   EXPECT_EQ(serial, parallel);
   EXPECT_EQ(serial, kGoldenDigest)
       << "trajectory digest changed: 0x" << std::hex << serial;
+}
+
+// The same four jobs on the packet backend. Self-consistency across worker
+// counts cannot catch a deterministic but wrong change to segment timing or
+// link scheduling; this constant can. Same update rule as above.
+TEST(BatchDeterminism, PacketGoldenTrajectoryDigestStable) {
+  constexpr std::uint64_t kPacketGoldenDigest = 0xa1eb0ac57041c702ull;
+  const std::uint64_t serial = digest_results(run_golden_jobs(1, "packet"));
+  const std::uint64_t parallel = digest_results(run_golden_jobs(8, "packet"));
+  EXPECT_EQ(serial, parallel);
+  EXPECT_EQ(serial, kPacketGoldenDigest)
+      << "packet trajectory digest changed: 0x" << std::hex << serial;
 }
 
 std::vector<RunResult> run_faulted_golden_jobs(int workers) {
