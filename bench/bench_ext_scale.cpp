@@ -6,10 +6,11 @@
 // an arrival storm, briefly-lingering seeds) through
 // ScenarioBuilder::scale(4) and scale(10), on both network backends, and
 // reports wall-clock cost next to the deterministic event counts. It is
-// the workload behind the huge perf tiers and the CI mega-swarm smoke:
-// every swarm hot path that is accidentally O(population) per tick shows
-// up here as a superlinear wall_s column long before it hurts anywhere
-// else.
+// the workload behind the CI mega-swarm smoke, which also bounds the 4k
+// tier's max RSS: every swarm hot path that is accidentally
+// O(population) per tick shows up here as a superlinear wall_s column,
+// and per-peer state that grows with the population as memory, long
+// before either hurts anywhere else.
 //
 // Each job also records a sampled swarm-entropy estimate
 // (swarm_entropy_sampled over 64 leechers, private RNG — the exact

@@ -3,8 +3,9 @@
 // bookkeeping, the wire codec, bencode, and SHA-1 throughput. These back
 // the paper's simplicity argument (§IV-A.4): rarest first is cheap —
 // microseconds per decision — where network coding is CPU intensive.
-// The event-queue and fluid-reallocation kernels time the simulator's
-// own hot path (docs/performance.md).
+// The event-queue, fluid-reallocation, connection-table and
+// rate-estimator kernels time the simulator's own hot path
+// (docs/performance.md).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -20,9 +21,11 @@
 #include "instrument/metrics.h"
 #include "instrument/swarm_probe.h"
 #include "net/fluid_network.h"
+#include "peer/connection.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
 #include "sim/simulation.h"
+#include "stats/rate_estimator.h"
 #include "wire/bencode.h"
 #include "wire/messages.h"
 #include "wire/sha1.h"
@@ -240,6 +243,71 @@ void BM_FluidReallocate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FluidReallocate)->Arg(4)->Arg(16)->Arg(64);
+
+/// A full peer set: 80 connections whose remote ids are spread over
+/// [1, id_space], as in a swarm that has seen id_space peers. Returns the
+/// ids in insertion (random) order.
+std::vector<peer::PeerId> fill_peer_set(peer::ConnectionTable& table,
+                                        std::uint32_t id_space) {
+  sim::Rng rng(3);
+  std::vector<peer::PeerId> ids;
+  while (ids.size() < 80) {
+    const auto id = static_cast<peer::PeerId>(1 + rng.index(id_space));
+    if (table.contains(id)) continue;
+    peer::Connection conn;
+    conn.remote = id;
+    table.insert(std::move(conn));
+    ids.push_back(id);
+  }
+  return ids;
+}
+
+// Looks up a random member of the peer set, as every message delivery does.
+void BM_ConnectionTableFind(benchmark::State& state) {
+  peer::ConnectionTable table;
+  const std::vector<peer::PeerId> ids =
+      fill_peer_set(table, static_cast<std::uint32_t>(state.range(0)));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(table.find(ids[i]));
+    i = (i + 7) % ids.size();
+  }
+}
+BENCHMARK(BM_ConnectionTableFind)->Arg(1000)->Arg(10000)->Arg(100000);
+
+// Visits the whole peer set, as on_local_piece_complete and the choke
+// round do.
+void BM_ConnectionTableWalk(benchmark::State& state) {
+  peer::ConnectionTable table;
+  fill_peer_set(table, static_cast<std::uint32_t>(state.range(0)));
+  for (auto _ : state) {
+    std::uint32_t interested = 0;
+    for (const peer::Connection& conn : table) {
+      interested += conn.peer_interested ? 1 : 0;
+    }
+    benchmark::DoNotOptimize(interested);
+  }
+}
+BENCHMARK(BM_ConnectionTableWalk)->Arg(1000)->Arg(10000)->Arg(100000);
+
+// One connection's estimator in steady state over one 10 s choke period:
+// a 16 KiB block every 1/3 s, then the choke round's rate() read, with
+// the 20 s window already full.
+void BM_RateEstimator(benchmark::State& state) {
+  stats::RateEstimator rate(20.0);
+  double now = 0.0;
+  const auto period = [&rate, &now] {
+    for (int b = 0; b < 30; ++b) {
+      now += 1.0 / 3.0;
+      rate.add(now, 16384);
+    }
+    return rate.rate(now);
+  };
+  period();
+  period();
+  for (auto _ : state) benchmark::DoNotOptimize(period());
+}
+BENCHMARK(BM_RateEstimator);
 
 /// One observer callback of a replayed SwarmProbe mix.
 struct ProbeOp {

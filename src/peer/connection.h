@@ -2,11 +2,13 @@
 // peer set. Both endpoints hold their own Connection for the same link.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/bitfield.h"
@@ -75,8 +77,10 @@ struct Connection {
   double last_request_time = -1.0;
 
   // --- upload side ---
-  /// Requests received from them, waiting behind the in-flight block.
-  std::deque<QueuedRequest> upload_queue;
+  /// Requests received from them, waiting behind the in-flight block, in
+  /// arrival order. Bounded by the servicer and a few entries in practice,
+  /// so popping the front is a short move.
+  std::vector<QueuedRequest> upload_queue;
   /// The block currently being transferred to them (0 = none).
   net::FlowId upload_flow = 0;
   wire::BlockRef upload_in_flight{};
@@ -89,47 +93,63 @@ struct Connection {
   }
 };
 
-/// The local peer set, indexed directly by remote PeerId (ids are dense —
-/// assigned 1, 2, ... by the swarm and never recycled — so the table is a
-/// plain pointer vector). find() is O(1); iteration visits connections in
-/// ascending remote id, the same order the ordered map it replaced gave,
+/// The local peer set: an ascending vector of remote ids and a parallel
+/// vector owning each id's Connection. Memory and walks grow with the peer
+/// set (at most max_peer_set entries), not with the PeerId space. find() is
+/// a binary search; iteration visits connections in ascending remote id,
 /// which choke rounds and broadcasts rely on for deterministic replay.
 ///
 /// Connections are heap-allocated, so a Connection* stays valid across
-/// inserts and erases of other entries. Erasing during iteration is safe
-/// (the slot nulls in place); inserting during iteration is not.
+/// inserts and erases of other entries. erase() nulls the entry in place,
+/// so erasing during iteration is safe; the next insert() compacts the
+/// nulled entries away. Inserting during iteration is not safe.
 class ConnectionTable {
  public:
   [[nodiscard]] Connection* find(PeerId remote) {
-    return remote >= 1 && remote <= slots_.size() ? slots_[remote - 1].get()
-                                                  : nullptr;
+    const std::size_t i = index_of(remote);
+    return i < ids_.size() ? conns_[i].get() : nullptr;
   }
   [[nodiscard]] const Connection* find(PeerId remote) const {
-    return remote >= 1 && remote <= slots_.size() ? slots_[remote - 1].get()
-                                                  : nullptr;
+    const std::size_t i = index_of(remote);
+    return i < ids_.size() ? conns_[i].get() : nullptr;
   }
   [[nodiscard]] bool contains(PeerId remote) const {
     return find(remote) != nullptr;
   }
   [[nodiscard]] std::size_t size() const { return count_; }
 
+  /// The live remote ids, ascending.
+  [[nodiscard]] std::vector<PeerId> remotes() const {
+    if (count_ == ids_.size()) return ids_;
+    std::vector<PeerId> out;
+    out.reserve(count_);
+    for (std::size_t i = 0; i < ids_.size(); ++i) {
+      if (conns_[i] != nullptr) out.push_back(ids_[i]);
+    }
+    return out;
+  }
+
   /// Takes ownership of `conn` (keyed by conn.remote, which must not
   /// already be present). The returned reference is stable for the
   /// connection's lifetime.
   Connection& insert(Connection conn) {
-    assert(conn.remote >= 1);
-    const std::size_t idx = static_cast<std::size_t>(conn.remote) - 1;
-    if (idx >= slots_.size()) slots_.resize(idx + 1);
-    assert(slots_[idx] == nullptr);
-    slots_[idx] = std::make_unique<Connection>(std::move(conn));
+    assert(conn.remote >= 1 && !contains(conn.remote));
+    compact();
+    const auto pos = std::lower_bound(ids_.begin(), ids_.end(), conn.remote);
+    const auto at = pos - ids_.begin();
+    ids_.insert(pos, conn.remote);
+    const auto slot = conns_.insert(conns_.begin() + at,
+                                    std::make_unique<Connection>(
+                                        std::move(conn)));
     ++count_;
-    return *slots_[idx];
+    return **slot;
   }
 
   /// Returns true if `remote` was present.
   bool erase(PeerId remote) {
-    if (!contains(remote)) return false;
-    slots_[remote - 1].reset();
+    const std::size_t i = index_of(remote);
+    if (i == ids_.size() || conns_[i] == nullptr) return false;
+    conns_[i].reset();
     --count_;
     return true;
   }
@@ -142,7 +162,7 @@ class ConnectionTable {
 
    public:
     Iter(Table* table, std::size_t idx) : table_(table), idx_(idx) { skip(); }
-    Ref operator*() const { return *table_->slots_[idx_]; }
+    Ref operator*() const { return *table_->conns_[idx_]; }
     Iter& operator++() {
       ++idx_;
       skip();
@@ -152,8 +172,8 @@ class ConnectionTable {
 
    private:
     void skip() {
-      while (idx_ < table_->slots_.size() &&
-             table_->slots_[idx_] == nullptr) {
+      while (idx_ < table_->conns_.size() &&
+             table_->conns_[idx_] == nullptr) {
         ++idx_;
       }
     }
@@ -162,12 +182,35 @@ class ConnectionTable {
   };
 
   [[nodiscard]] Iter<false> begin() { return {this, 0}; }
-  [[nodiscard]] Iter<false> end() { return {this, slots_.size()}; }
+  [[nodiscard]] Iter<false> end() { return {this, conns_.size()}; }
   [[nodiscard]] Iter<true> begin() const { return {this, 0}; }
-  [[nodiscard]] Iter<true> end() const { return {this, slots_.size()}; }
+  [[nodiscard]] Iter<true> end() const { return {this, conns_.size()}; }
 
  private:
-  std::vector<std::unique_ptr<Connection>> slots_;  // index = remote - 1
+  /// Index of `remote` in ids_, or ids_.size() when absent.
+  [[nodiscard]] std::size_t index_of(PeerId remote) const {
+    const auto pos = std::lower_bound(ids_.begin(), ids_.end(), remote);
+    return pos != ids_.end() && *pos == remote
+               ? static_cast<std::size_t>(pos - ids_.begin())
+               : ids_.size();
+  }
+
+  /// Drops the entries erase() nulled.
+  void compact() {
+    if (count_ == ids_.size()) return;
+    std::size_t out = 0;
+    for (std::size_t i = 0; i < ids_.size(); ++i) {
+      if (conns_[i] == nullptr) continue;
+      ids_[out] = ids_[i];
+      conns_[out] = std::move(conns_[i]);
+      ++out;
+    }
+    ids_.resize(out);
+    conns_.resize(out);
+  }
+
+  std::vector<PeerId> ids_;  // ascending
+  std::vector<std::unique_ptr<Connection>> conns_;  // null once erased
   std::size_t count_ = 0;
 };
 

@@ -42,10 +42,7 @@ std::vector<std::uint8_t> Peer::read_block(wire::BlockRef block) const {
 }
 
 std::vector<PeerId> Peer::connected_peers() const {
-  std::vector<PeerId> out;
-  out.reserve(ctx_.conns.size());
-  for (const Connection& conn : ctx_.conns) out.push_back(conn.remote);
-  return out;
+  return ctx_.conns.remotes();
 }
 
 // --- delegated queries -----------------------------------------------------

@@ -59,7 +59,7 @@ void UploadServicer::handle_cancel(Connection& conn,
 void UploadServicer::start_next_upload(Connection& conn) {
   while (!conn.upload_queue.empty()) {
     const QueuedRequest req = conn.upload_queue.front();
-    conn.upload_queue.pop_front();
+    conn.upload_queue.erase(conn.upload_queue.begin());
     conn.upload_flow = ctx_.fabric.send_block(ctx_.cfg.id, conn.remote,
                                               req.block);
     if (conn.upload_flow != 0) {

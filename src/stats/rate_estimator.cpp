@@ -14,9 +14,17 @@ void RateEstimator::add(double now, std::uint64_t bytes) {
 
 void RateEstimator::expire(double now) const {
   const double cutoff = now - window_;
-  while (!events_.empty() && events_.front().first < cutoff) {
-    window_bytes_ -= events_.front().second;
-    events_.pop_front();
+  while (head_ < events_.size() && events_[head_].first < cutoff) {
+    window_bytes_ -= events_[head_].second;
+    ++head_;
+  }
+  if (head_ == events_.size()) {
+    events_.clear();
+    head_ = 0;
+  } else if (2 * head_ >= events_.size()) {
+    events_.erase(events_.begin(),
+                  events_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
   }
 }
 
@@ -34,6 +42,7 @@ double RateEstimator::rate(double now) const {
 
 void RateEstimator::reset_window() {
   events_.clear();
+  head_ = 0;
   window_bytes_ = 0;
   first_event_time_ = -1.0;
 }

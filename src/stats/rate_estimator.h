@@ -5,13 +5,20 @@
 // in leecher state orders peers by this estimate every 10 seconds.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <utility>
+#include <vector>
 
 namespace swarmlab::stats {
 
 /// Bytes-per-second estimator over a trailing time window.
+///
+/// The live window is events_[head_, size). Expired events advance head_;
+/// the buffer is cleared when all of them expire, and its expired prefix is
+/// dropped in one move once that prefix is half the buffer. So a
+/// default-constructed estimator allocates nothing, and a steady one stops
+/// allocating once its buffer holds about twice the window's events.
 class RateEstimator {
  public:
   /// `window` is the trailing horizon in seconds (mainline: 20 s).
@@ -36,7 +43,8 @@ class RateEstimator {
   void expire(double now) const;
 
   double window_;
-  mutable std::deque<std::pair<double, std::uint64_t>> events_;
+  mutable std::vector<std::pair<double, std::uint64_t>> events_;
+  mutable std::size_t head_ = 0;  // first live event
   mutable std::uint64_t window_bytes_ = 0;
   std::uint64_t total_ = 0;
   double first_event_time_ = -1.0;

@@ -1,7 +1,13 @@
 // Unit tests for the statistics kernels.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <deque>
+#include <random>
+#include <utility>
 
 #include "stats/cdf.h"
 #include "stats/correlation.h"
@@ -179,6 +185,96 @@ TEST(RateEstimator, TotalsPersistAcrossReset) {
   r.reset_window();
   EXPECT_EQ(r.total_bytes(), 300u);
   EXPECT_DOUBLE_EQ(r.rate(2.0), 0.0);
+}
+
+/// The deque-based estimator RateEstimator replaced, kept verbatim as the
+/// reference its rate() must match bit for bit. It also counts expiries
+/// that empty the window and expiries that leave some events live, so the
+/// test can show its sequence reaches both of the new buffer's
+/// compaction paths.
+class DequeRateEstimator {
+ public:
+  explicit DequeRateEstimator(double window) : window_(window) {}
+
+  void add(double now, std::uint64_t bytes) {
+    if (first_event_time_ < 0.0) first_event_time_ = now;
+    events_.emplace_back(now, bytes);
+    window_bytes_ += bytes;
+    total_ += bytes;
+    expire(now);
+  }
+  double rate(double now) {
+    expire(now);
+    if (events_.empty()) return 0.0;
+    double span = window_;
+    if (first_event_time_ >= 0.0) {
+      span = std::min(window_, now - first_event_time_);
+    }
+    if (span <= 0.0) span = 1e-9;
+    return static_cast<double>(window_bytes_) / span;
+  }
+  [[nodiscard]] std::uint64_t total_bytes() const { return total_; }
+  void reset_window() {
+    events_.clear();
+    window_bytes_ = 0;
+    first_event_time_ = -1.0;
+  }
+
+  int emptied = 0;  // expiries that dropped every event
+  int partial = 0;  // expiries that dropped some events and kept others
+
+ private:
+  void expire(double now) {
+    const double cutoff = now - window_;
+    bool dropped = false;
+    while (!events_.empty() && events_.front().first < cutoff) {
+      window_bytes_ -= events_.front().second;
+      events_.pop_front();
+      dropped = true;
+    }
+    if (dropped) ++(events_.empty() ? emptied : partial);
+  }
+
+  double window_;
+  std::deque<std::pair<double, std::uint64_t>> events_;
+  std::uint64_t window_bytes_ = 0;
+  std::uint64_t total_ = 0;
+  double first_event_time_ = -1.0;
+};
+
+TEST(RateEstimator, MatchesDequeReferenceBitForBit) {
+  RateEstimator fast(20.0);
+  DequeRateEstimator ref(20.0);
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  std::mt19937_64 rng(20061025);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  double now = 0.0;
+  for (int op = 0; op < 10'000; ++op) {
+    if (op % 1000 == 999) {
+      // A silence longer than the window expires every event.
+      now += 20.0 + 20.0 * unit(rng);
+      ASSERT_EQ(bits(fast.rate(now)), bits(ref.rate(now))) << "op " << op;
+      continue;
+    }
+    // Block-scale gaps, often zero, so the window holds dozens of events
+    // and expires them a few at a time.
+    if (unit(rng) < 0.5) now += 0.6 * unit(rng);
+    const double what = unit(rng);
+    if (what < 0.6) {
+      const auto bytes = static_cast<std::uint64_t>(16384 * unit(rng)) + 1;
+      fast.add(now, bytes);
+      ref.add(now, bytes);
+    } else if (what < 0.999) {
+      ASSERT_EQ(bits(fast.rate(now)), bits(ref.rate(now)))
+          << "op " << op << " at t=" << now;
+    } else {
+      fast.reset_window();
+      ref.reset_window();
+    }
+    ASSERT_EQ(fast.total_bytes(), ref.total_bytes()) << "op " << op;
+  }
+  EXPECT_GE(ref.emptied, 5);
+  EXPECT_GE(ref.partial, 1000);
 }
 
 TEST(Correlation, PerfectPositive) {
